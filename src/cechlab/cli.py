@@ -349,7 +349,7 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     _report_experiment(result, out_dir)
     means = [row.mean_betti for row in result.rows]
     if min(means) > 0.0:
-        print(f"constant-band ratio max/min = {max(means) / min(means):.3f}")
+        print(f"max/min ratio of the per-n means = {max(means) / min(means):.3f}")
     for i, row in enumerate(result.rows):
         cloud = sample_poisson(row.n, density, stream(spec.seed, i, 0))
         frame = out_dir / f"balls-n{int(row.n)}.svg"
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".")
         p.set_defaults(handler=handler)
 
-    p = sub.add_parser("figure1", help="constant-band run with rendered frames")
+    p = sub.add_parser("figure1", help="theta=1.4 decay run with rendered frames")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="figure1")

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-import scipy.stats
 
 from .errors import AuditError, ConfigurationError
 from .persistence import GF2, FieldSpec, persistent_betti
@@ -225,7 +224,9 @@ def fit_exponent(rows: Sequence[tuple[float, float]]) -> FitSummary:
     residuals = y - (intercept + slope * x)
     dof = len(pairs) - 2
     se = math.sqrt(max(float(residuals @ residuals), 0.0) / dof / sxx)
-    tq = float(scipy.stats.t.ppf(0.975, dof))
+    from scipy.stats import t as student_t  # deferred: most of cechlab's import time
+
+    tq = float(student_t.ppf(0.975, dof))
     return FitSummary(slope=slope, ci_lo=slope - tq * se, ci_hi=slope + tq * se)
 
 

@@ -66,9 +66,6 @@ class FilteredComplex:
                         f"face {face} (value {index[face]}) enters after {verts} (value {value})")
             index[verts] = value
 
-    def values_by_simplex(self) -> dict[tuple[int, ...], float]:
-        return {verts: value for verts, value in self.simplices}
-
 
 def _cech_simplices(cloud: PointCloud, r_max: float,
                     max_dim: int) -> Iterator[tuple[tuple[int, ...], float]]:

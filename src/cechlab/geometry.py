@@ -10,11 +10,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
@@ -23,6 +26,7 @@ __all__ = [
     "GridIndex",
     "miniball",
     "geometric_graph",
+    "component_labels",
     "ball_volume",
 ]
 
@@ -30,7 +34,7 @@ __all__ = [
 # without inflating radii beyond the documented 1e-9 containment bound.
 _EPS = 1e-12
 
-# Below this size brute-force pair scans beat the grid's bookkeeping.
+# Up to this size a direct pair scan beats building a k-d tree.
 _BRUTE_FORCE_CUTOFF = 48
 
 
@@ -247,14 +251,6 @@ class GeometricGraph:
     edges: tuple[tuple[int, int], ...]  # i < j, sorted
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(len(self.cloud))]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return tuple(frozenset(s) for s in adj)
-
-    @cached_property
     def adjacency_above(self) -> tuple[tuple[int, ...], ...]:
         """Neighbors with larger index, ascending; used by clique growth."""
         adj: list[list[int]] = [[] for _ in range(len(self.cloud))]
@@ -265,37 +261,16 @@ class GeometricGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Connected-component label of each point, from 0 to component_count() - 1."""
+        return _labels(len(self.cloud), np.array(self.edges, dtype=np.intp).reshape(-1, 2))
+
     def is_connected(self) -> bool:
-        n = len(self.cloud)
-        if n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        adj = self.adjacency
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
+        return self.component_count() <= 1
 
     def component_count(self) -> int:
-        n = len(self.cloud)
-        seen: set[int] = set()
-        comps = 0
-        adj = self.adjacency
-        for start in range(n):
-            if start in seen:
-                continue
-            comps += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                for j in adj[stack.pop()]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-        return comps
+        return int(self.labels.max()) + 1 if len(self.cloud) else 0
 
 
 def _brute_force_edges(pts: Sequence[tuple[float, ...]], r: float) -> list[tuple[int, int]]:
@@ -309,62 +284,39 @@ def _brute_force_edges(pts: Sequence[tuple[float, ...]], r: float) -> list[tuple
     return out
 
 
-def _grid_edges(pts: Sequence[tuple[float, ...]], r: float, dim: int) -> list[tuple[int, int]]:
-    inv = 1.0 / r
-    cells: dict[tuple[int, ...], list[int]] = {}
-    keys: list[tuple[int, ...]] = []
-    for idx, p in enumerate(pts):
-        key = tuple(int(math.floor(x * inv)) for x in p)
-        keys.append(key)
-        cells.setdefault(key, []).append(idx)
-    r2 = r * r
-    out = []
-    offsets = [off for off in product((-1, 0, 1), repeat=dim)]
-    for key, members in cells.items():
-        for a_pos, i in enumerate(members):
-            pi = pts[i]
-            for j in members[a_pos + 1:]:
-                if _dist2(pi, pts[j]) <= r2:
-                    out.append((i, j))
-        for off in offsets:
-            if off <= (0,) * dim:
-                continue  # scan each unordered cell pair once
-            other = cells.get(tuple(k + o for k, o in zip(key, off)))
-            if not other:
-                continue
-            for i in members:
-                pi = pts[i]
-                for j in other:
-                    if _dist2(pi, pts[j]) <= r2:
-                        out.append((i, j) if i < j else (j, i))
-    out.sort()
-    return out
+def _check_scale(r: float) -> None:
+    if not (r >= 0.0) or not math.isfinite(r):
+        raise ValueError(f"scale must be a finite nonnegative real, got {r}")
+
+
+def _tree_pairs(cloud: PointCloud, r: float) -> np.ndarray:
+    """Sorted pairs i < j at distance <= r (closed), as an (m, 2) index array."""
+    pairs = cKDTree(cloud.points).query_pairs(r, output_type="ndarray")
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _labels(n: int, pairs: np.ndarray) -> np.ndarray:
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    adjacency = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                           shape=(n, n))
+    return connected_components(adjacency, directed=False)[1]
 
 
 def geometric_graph(cloud: PointCloud, r: float) -> GeometricGraph:
-    """Geometric graph at scale r via grid bucketing (cells of width r).
+    """Geometric graph at scale r: a direct pair scan for tiny clouds, a k-d tree above."""
+    _check_scale(r)
+    if len(cloud) <= _BRUTE_FORCE_CUTOFF:
+        return GeometricGraph(cloud, r, tuple(_brute_force_edges(cloud.as_tuples, r)))
+    return GeometricGraph(cloud, r, tuple(map(tuple, _tree_pairs(cloud, r).tolist())))
 
-    Expected work is near-linear in the number of edges for clouds of
-    bounded density; tiny clouds fall back to a direct pair scan.
-    """
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise ValueError(f"scale must be a finite nonnegative real, got {r}")
-    pts = cloud.as_tuples
-    n = len(pts)
-    if n < 2:
-        return GeometricGraph(cloud, r, ())
-    if r == 0.0:
-        groups: dict[tuple[float, ...], list[int]] = {}
-        for idx, p in enumerate(pts):
-            groups.setdefault(p, []).append(idx)
-        edges = []
-        for members in groups.values():
-            edges.extend(combinations(members, 2))
-        edges.sort()
-        return GeometricGraph(cloud, r, tuple(edges))
-    if n <= _BRUTE_FORCE_CUTOFF:
-        return GeometricGraph(cloud, r, tuple(_brute_force_edges(pts, r)))
-    return GeometricGraph(cloud, r, tuple(_grid_edges(pts, r, cloud.dim)))
+
+def component_labels(cloud: PointCloud, r: float) -> np.ndarray:
+    """`geometric_graph(cloud, r).labels`, without building edge tuples for large clouds."""
+    if len(cloud) <= _BRUTE_FORCE_CUTOFF:
+        return geometric_graph(cloud, r).labels
+    _check_scale(r)
+    return _labels(len(cloud), _tree_pairs(cloud, r))
 
 
 class GridIndex:

@@ -19,6 +19,9 @@ from .geometry import PointCloud
 __all__ = ["Density", "stream", "sample_binomial", "sample_poisson", "sample_in_ball"]
 
 _REJECTION_BATCH = 1024
+# Rejection sampling gives up after this many batches in a row accept
+# nothing: a density with (almost) no mass on its box would loop forever.
+_MAX_BARREN_BATCHES = 64
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -114,14 +117,24 @@ def sample_binomial(n: int, density: Density, rng: np.random.Generator) -> Point
     if density.kind == "uniform-box":
         return PointCloud(density.dim, density._uniform_in_box(n, rng))
     rows: list[np.ndarray] = []
+    proposed = 0
+    barren = 0  # consecutive batches without an acceptance
     while len(rows) < n:
+        if barren == _MAX_BARREN_BATCHES:
+            raise ConfigurationError(
+                f"density accepted {len(rows)} of {proposed} proposals (rate "
+                f"{len(rows) / proposed:.3g}), none in the last {barren * _REJECTION_BATCH}; "
+                f"it has too little mass on its box {density.box} for bound {density.bound}")
         proposals = density._uniform_in_box(_REJECTION_BATCH, rng)
         accepts = rng.random(_REJECTION_BATCH) * density.bound
+        before = len(rows)
         for point, u in zip(proposals, accepts):
             if u <= density(point):
                 rows.append(point)
                 if len(rows) == n:
                     break
+        proposed += _REJECTION_BATCH
+        barren = barren + 1 if len(rows) == before else 0
     return PointCloud(density.dim, np.asarray(rows))
 
 

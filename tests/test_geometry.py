@@ -134,13 +134,23 @@ def test_geometric_graph_zero_radius_groups_duplicates():
 
 def test_geometric_graph_grid_matches_brute_force():
     rng = np.random.default_rng(11)
-    for n in (5, 47, 48, 49, 130):
-        pts = rng.random((n, 2))
-        cloud = PointCloud(2, pts)
-        for r in (0.05, 0.2, 0.6):
-            edges = set(geometric_graph(cloud, r).edges)
+    clouds = [(rng.random((n, 2)), (0.05, 0.2, 0.6)) for n in (5, 47, 48, 49, 130)]
+    # Exact-tie lattices above the 48-point cutoff, at r equal to a lattice
+    # distance: the k-d tree path must keep the closed convention. Dyadic
+    # coordinates make axis-neighbour distances exact; the doubled lattice
+    # adds duplicate points for r = 0.
+    square = np.array([(i, j) for i in range(8) for j in range(8)]) * 0.125 + 0.25
+    cube = np.array([(i, j, k) for i in range(4) for j in range(4) for k in range(4)]) * 0.25
+    for lattice in (square, cube, np.vstack([square, square])):
+        gaps = np.sqrt(((lattice[0] - lattice) ** 2).sum(axis=1))
+        assert gaps[1] ** 2 == ((lattice[0] - lattice[1]) ** 2).sum()  # an exact tie
+        clouds.append((lattice, (0.0, *(float(g) for g in gaps[[1, 2, 9]]))))
+    for pts, radii in clouds:
+        n, d = pts.shape
+        for r in radii:
+            edges = set(geometric_graph(PointCloud(d, pts), r).edges)
             expected = {(i, j) for i in range(n) for j in range(i + 1, n)
-                        if np.linalg.norm(pts[i] - pts[j]) <= r}
+                        if ((pts[i] - pts[j]) ** 2).sum() <= r * r}
             assert edges == expected
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cechlab.filtration import build_cech_filtration
+from cechlab.filtration import _build, build_cech_filtration
 from cechlab.geometry import PointCloud
 from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, betti,
                                  betti_oracle, compute_persistence,
@@ -105,6 +105,31 @@ def test_theta_one_reduces_to_ordinary_betti():
         r = float(rng.uniform(0.05, 0.7))
         k = int(rng.integers(0, 2))
         assert persistent_betti(cloud, r, 1.0, k) == betti(cloud, r, k)
+
+
+def test_component_split_matches_whole_cloud_reduction():
+    # Above 48 points persistent_betti sums ranks over components of the
+    # graph at 2*theta*r; the reference reduces the whole cloud at once.
+    # A planted octagon (death/birth = 1/sin(pi/8) ~ 2.6) gives every
+    # theta a persistent 1-cycle.
+    rng = np.random.default_rng(59)
+    for _ in range(8):
+        n = int(rng.integers(49, 251))
+        d = int(rng.integers(2, 4))
+        r = 0.45 * n ** (-1.0 / d)
+        angles = np.arange(8) * math.pi / 4.0
+        radius = 0.999 * r / math.sin(math.pi / 8.0)  # its edges are born just below r
+        octagon = np.full((8, d), 3.0)
+        octagon[:, 0] += radius * np.cos(angles)
+        octagon[:, 1] += radius * np.sin(angles)
+        cloud = PointCloud(d, np.vstack([rng.random((n - 8, d)), octagon])[rng.permutation(n)])
+        for theta in (1.0, 1.2, 1.4, 2.0):
+            for p in (2, 3):
+                whole = compute_persistence(_build(cloud, theta * r, 2, force=True), FieldSpec(p))
+                for k in (0, 1):
+                    assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == \
+                        whole.rank(k, r, theta * r)
+                assert whole.rank(1, r, theta * r) >= 1
 
 
 def test_persistent_betti_monotone_in_theta():

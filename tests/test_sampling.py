@@ -119,3 +119,13 @@ def test_negative_counts_rejected():
         sample_binomial(-1, f, stream(1, 0))
     with pytest.raises(ValueError):
         sample_poisson(-2.0, f, stream(1, 0))
+
+
+def test_custom_density_without_mass_fails_fast():
+    f = Density.custom([(0.0, 1.0), (0.0, 1.0)], bound=1.0, evaluator=lambda x: 0.0)
+    with pytest.raises(ConfigurationError, match="accepted 0 of"):
+        sample_binomial(10, f, stream(14, 0))
+    # One acceptance in a hundred still samples: only barren batches in a row count.
+    g = Density.custom([(0.0, 1.0)], bound=1.0, evaluator=lambda x: 1.0 if x[0] < 0.01 else 0.0)
+    cloud = sample_binomial(30, g, stream(15, 0))
+    assert len(cloud) == 30 and cloud.points.max() < 0.01
