@@ -18,8 +18,7 @@ from .experiment import (ExperimentSpec, audit_csv, fit_csv, lower_bound_audit,
                          results_csv, run_experiment, write_manifest)
 from .filtration import build_cech_filtration
 from .geometry import PointCloud
-from .persistence import (GF2, FieldSpec, betti, compute_persistence,
-                          persistent_betti)
+from .persistence import GF2, FieldSpec, compute_persistence, persistent_betti
 from .properties import (PropertyDescriptor, SmallGraph, SubsetPropertyDescriptor,
                          comp, conn, count_property, estimate_mu, iso_graph,
                          palm_check, sep, spread, subset_count, trivial_context,
@@ -157,10 +156,7 @@ def _cmd_persistence(args: argparse.Namespace) -> int:
 def _cmd_betti(args: argparse.Namespace) -> int:
     cloud = PointCloud.load(args.cloud)
     field_spec = _field_from(args)
-    if args.theta == 1.0:
-        value = betti(cloud, args.r, args.k, field_spec)
-    else:
-        value = persistent_betti(cloud, args.r, args.theta, args.k, field_spec)
+    value = persistent_betti(cloud, args.r, args.theta, args.k, field_spec)
     _manifest(args, "betti", {"cloud": str(args.cloud), "r": args.r, "k": args.k,
                               "theta": args.theta, "field": args.field})
     print(value)

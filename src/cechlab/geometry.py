@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -23,7 +22,6 @@ __all__ = [
     "PointCloud",
     "Ball",
     "GeometricGraph",
-    "GridIndex",
     "miniball",
     "geometric_graph",
     "component_labels",
@@ -104,26 +102,31 @@ class PointCloud:
 
     def save(self, path: str | Path) -> None:
         """Write the text format: header `d n`, then one point per line."""
-        lines = [f"{self.dim} {len(self)}"]
-        for p in self.points:
-            lines.append(" ".join(repr(float(x)) for x in p))
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(_format_cloud(self))
 
     @staticmethod
     def load(path: str | Path) -> "PointCloud":
-        text = Path(path).read_text().split("\n")
-        header = text[0].split()
-        if len(header) != 2:
-            raise ValueError(f"malformed header {text[0]!r}: expected 'd n'")
-        dim, n = int(header[0]), int(header[1])
-        rows = []
-        for line in text[1:]:
-            if line.strip():
-                rows.append([float(x) for x in line.split()])
-        if len(rows) != n:
-            raise ValueError(f"header promised {n} points, found {len(rows)}")
-        arr = np.asarray(rows, dtype=np.float64).reshape(n, dim) if rows else np.zeros((0, dim))
-        return PointCloud(dim, arr)
+        return _parse_cloud(Path(path).read_text())
+
+
+def _format_cloud(cloud: PointCloud) -> str:
+    lines = [f"{cloud.dim} {len(cloud)}"]
+    for p in cloud.points:
+        lines.append(" ".join(repr(float(x)) for x in p))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_cloud(text: str) -> PointCloud:
+    lines = text.split("\n")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError(f"malformed header {lines[0]!r}: expected 'd n'")
+    dim, n = int(header[0]), int(header[1])
+    rows = [[float(x) for x in line.split()] for line in lines[1:] if line.strip()]
+    if len(rows) != n:
+        raise ValueError(f"header promised {n} points, found {len(rows)}")
+    arr = np.asarray(rows, dtype=np.float64).reshape(n, dim) if rows else np.zeros((0, dim))
+    return PointCloud(dim, arr)
 
 
 @dataclass(frozen=True)
@@ -318,35 +321,3 @@ def component_labels(cloud: PointCloud, r: float) -> np.ndarray:
     _check_scale(r)
     return _labels(len(cloud), _tree_pairs(cloud, r))
 
-
-class GridIndex:
-    """Uniform-grid point index supporting closed-ball range queries."""
-
-    def __init__(self, cloud: PointCloud, cell: float):
-        if not (cell > 0.0) or not math.isfinite(cell):
-            raise ValueError(f"cell width must be positive and finite, got {cell}")
-        self._pts = cloud.as_tuples
-        self._dim = cloud.dim
-        self._cell = cell
-        self._cells: dict[tuple[int, ...], list[int]] = {}
-        inv = 1.0 / cell
-        for idx, p in enumerate(self._pts):
-            key = tuple(int(math.floor(x * inv)) for x in p)
-            self._cells.setdefault(key, []).append(idx)
-
-    def query_ball(self, center: Sequence[float], radius: float) -> Iterator[int]:
-        """Indices of points within `radius` (closed) of `center`."""
-        if radius < 0.0:
-            return
-        c = tuple(float(x) for x in center)
-        inv = 1.0 / self._cell
-        reach = int(math.floor(radius * inv)) + 1
-        base = tuple(int(math.floor(x * inv)) for x in c)
-        r2 = radius * radius
-        for off in product(range(-reach, reach + 1), repeat=self._dim):
-            members = self._cells.get(tuple(k + o for k, o in zip(base, off)))
-            if not members:
-                continue
-            for i in members:
-                if _dist2(c, self._pts[i]) <= r2:
-                    yield i

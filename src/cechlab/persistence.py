@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtration import FilteredComplex, _build, build_cech_filtration
+from .filtration import FilteredComplex, _build
 from .geometry import _BRUTE_FORCE_CUTOFF, PointCloud, component_labels, miniball
 
 __all__ = [

@@ -12,18 +12,25 @@ look at components of the union of r-balls, so two points interact up
 to distance 2r. Graph-isomorphism properties (`iso_graph`) use the
 geometric graph at scale r, where the cutoff is r itself. `spread`
 demands all pairwise gaps exceed r while the diameter stays below r*p.
+Every pair test is geometry's closed rule: squared distance <= cutoff^2.
+
+Isolation (`sep`) is read off the same component layer that splits
+`persistent_betti`: Y is isolated at r (no outside point within 2r,
+closed) exactly when it is a union of connected components of the
+geometric graph at 2r.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import GridIndex, PointCloud, ball_volume, geometric_graph
+from .geometry import (PointCloud, _brute_force_edges, _dist2, ball_volume,
+                       component_labels, geometric_graph)
 from .persistence import FieldSpec, GF2, persistent_betti
 from .sampling import Density, sample_binomial, sample_in_ball, sample_poisson
 
@@ -109,20 +116,10 @@ class SmallGraph:
         return tuple(frozenset(s) for s in adj)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency_sets()
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
+        return _connected(self.n, self.edges)
 
 
-def _graphs_isomorphic(gamma: SmallGraph, edges: frozenset[tuple[int, int]], n: int) -> bool:
+def _graphs_isomorphic(gamma: SmallGraph, edges: Collection[tuple[int, int]], n: int) -> bool:
     """Brute-force isomorphism of gamma against an edge set on 0..n-1.
 
     Vertex permutations are pruned by degree: a vertex may only map to a
@@ -262,26 +259,10 @@ def trivial_context() -> ContextIndicator:
 
 def _pairwise_dist2(points: np.ndarray) -> list[float]:
     pts = points.tolist()
-    out = []
-    for i in range(len(pts)):
-        pi = pts[i]
-        for j in range(i + 1, len(pts)):
-            out.append(sum((a - b) ** 2 for a, b in zip(pi, pts[j])))
-    return out
-
-def _edges_at(points: np.ndarray, cutoff: float) -> frozenset[tuple[int, int]]:
-    pts = points.tolist()
-    c2 = cutoff * cutoff
-    edges = set()
-    for i in range(len(pts)):
-        pi = pts[i]
-        for j in range(i + 1, len(pts)):
-            if sum((a - b) ** 2 for a, b in zip(pi, pts[j])) <= c2:
-                edges.add((i, j))
-    return frozenset(edges)
+    return [_dist2(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
 
 
-def _connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
+def _connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     if n <= 1:
         return True
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -310,7 +291,7 @@ def iso_graph(gamma: SmallGraph, r: float, p: int) -> PropertyDescriptor:
         raise ValueError("isomorphism templates must be connected")
 
     def indicator(points: np.ndarray) -> bool:
-        return _graphs_isomorphic(gamma, _edges_at(points, r), p)
+        return _graphs_isomorphic(gamma, _brute_force_edges(points.tolist(), r), p)
 
     return PropertyDescriptor(name=f"iso[{gamma.n}v{len(gamma.edges)}e]", arity=p,
                               scale=r, diam_factor=1.0, indicator=indicator)
@@ -337,27 +318,29 @@ def conn(r: float, p: int) -> PropertyDescriptor:
     """
 
     def indicator(points: np.ndarray) -> bool:
-        return _connected(points.shape[0], _edges_at(points, 2.0 * r))
+        return _connected(points.shape[0], _brute_force_edges(points.tolist(), 2.0 * r))
 
     return PropertyDescriptor(name="conn", arity=p, scale=r, diam_factor=2.0,
                               indicator=indicator)
 
 
 def sep(r: float) -> ContextIndicator:
-    """Isolation: every outside point stays strictly farther than 2r from Y."""
+    """Isolation: every outside point stays strictly farther than 2r from Y.
+
+    Y is isolated exactly when it is a union of connected components of
+    the closed geometric graph at 2r, so one labelling of the cloud
+    answers every subset: Y passes when the components of its members
+    hold |Y| points in total.
+    """
 
     def make(cloud: PointCloud) -> Callable[[Sequence[int]], bool]:
-        index = GridIndex(cloud, cell=max(2.0 * r, 1e-9)) if len(cloud) else None
+        labels = component_labels(cloud, 2.0 * r)
+        sizes = np.bincount(labels).tolist()
+        labels = labels.tolist()
 
         def check(indices: Sequence[int]) -> bool:
-            if index is None:
-                return True
-            chosen = set(indices)
-            for i in indices:
-                for j in index.query_ball(cloud.points[i], 2.0 * r):
-                    if j not in chosen:
-                        return False
-            return True
+            touched = {labels[i] for i in indices}
+            return sum(sizes[c] for c in touched) == len(indices)
 
         return check
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import PointCloud
+from .geometry import PointCloud, _format_cloud, _parse_cloud
 from .persistence import FieldSpec, GF2, compute_persistence, persistent_betti
 from .filtration import _build
 from .sampling import sample_in_ball
@@ -65,19 +65,13 @@ class CycleWitness:
     def save(self, path: str | Path) -> None:
         """Header `k theta r R rank`, then the point cloud text format."""
         head = f"{self.k} {self.theta!r} {self.r!r} {self.R!r} {self.verified_rank}\n"
-        body = [f"{self.points.dim} {len(self.points)}"]
-        for p in self.points.points:
-            body.append(" ".join(repr(float(x)) for x in p))
-        Path(path).write_text(head + "\n".join(body) + "\n")
+        Path(path).write_text(head + _format_cloud(self.points))
 
     @staticmethod
     def load(path: str | Path) -> "CycleWitness":
-        lines = Path(path).read_text().strip().split("\n")
-        k_s, theta_s, r_s, big_r_s, rank_s = lines[0].split()
-        dim, n = (int(x) for x in lines[1].split())
-        rows = [[float(x) for x in line.split()] for line in lines[2:2 + n]]
-        cloud = PointCloud(dim, np.asarray(rows, dtype=np.float64).reshape(n, dim))
-        witness = CycleWitness(points=cloud, r=float(r_s), theta=float(theta_s),
+        head, _, body = Path(path).read_text().partition("\n")
+        k_s, theta_s, r_s, big_r_s, rank_s = head.split()
+        witness = CycleWitness(points=_parse_cloud(body), r=float(r_s), theta=float(theta_s),
                                k=int(k_s), R=float(big_r_s), verified_rank=int(rank_s))
         witness.verify()
         return witness
@@ -244,9 +238,9 @@ def perturb_and_verify(witness: CycleWitness, rng: np.random.Generator, trials: 
 # ---------------------------------------------------------------------------
 
 
-def _diagram_witness_interval(points: np.ndarray, k: int, theta: float,
-                              field_spec: FieldSpec) -> tuple[float, float] | None:
-    """Best (birth, death) pair with death > theta * birth, if any.
+def _best_interval(points: np.ndarray, k: int,
+                   field_spec: FieldSpec) -> tuple[float, float] | None:
+    """Finite degree-k (birth, death) pair with the largest death/birth, if any.
 
     One diagram answers the whole radius scan exactly: a witness radius
     exists iff some degree-k interval satisfies death/birth > theta.
@@ -259,7 +253,7 @@ def _diagram_witness_interval(points: np.ndarray, k: int, theta: float,
     diagram = compute_persistence(complex_, field_spec)
     best: tuple[float, float] | None = None
     for birth, death in diagram.in_dimension(k):
-        if birth > 0.0 and death > theta * birth:
+        if birth > 0.0 and math.isfinite(death):
             if best is None or death / birth > best[1] / best[0]:
                 best = (birth, death)
     return best
@@ -292,17 +286,8 @@ def _config_ratio(points: np.ndarray, k: int, field_spec: FieldSpec) -> float:
     """Best death/birth over degree-k intervals; 1.0 when no cycle forms."""
     if k == 1 and points.shape[0] == 3:
         return float(_triangle_persistence_ratios(points[None])[0])
-    cloud = PointCloud(points.shape[1], points)
-    diameter = cloud.diameter()
-    if diameter == 0.0:
-        return 1.0
-    complex_ = _build(cloud, r_max=diameter, max_dim=k + 1, force=True)
-    diagram = compute_persistence(complex_, field_spec)
-    best = 1.0
-    for birth, death in diagram.in_dimension(k):
-        if birth > 0.0 and math.isfinite(death):
-            best = max(best, death / birth)
-    return best
+    interval = _best_interval(points, k, field_spec)
+    return 1.0 if interval is None else max(1.0, interval[1] / interval[0])
 
 
 def _witness_from_config(points: np.ndarray, d: int, k: int, theta: float,
@@ -311,8 +296,8 @@ def _witness_from_config(points: np.ndarray, d: int, k: int, theta: float,
     if span == 0.0:
         return None
     points = points / span
-    interval = _diagram_witness_interval(points, k, theta, field_spec)
-    if interval is None:
+    interval = _best_interval(points, k, field_spec)
+    if interval is None or interval[1] <= theta * interval[0]:
         return None
     birth, death = interval
     r = math.sqrt(birth * (death / theta))

@@ -8,8 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cechlab.geometry import (Ball, GridIndex, PointCloud, ball_volume,
-                              geometric_graph, miniball)
+from cechlab.geometry import Ball, PointCloud, ball_volume, geometric_graph, miniball
 
 
 def _miniball_oracle(points: np.ndarray) -> float:
@@ -169,17 +168,6 @@ def test_geometric_graph_translation_invariant():
     cloud = PointCloud(2, rng.random((25, 2)))
     moved = cloud.translated((17.0, -4.0))
     assert geometric_graph(cloud, 0.3).edges == geometric_graph(moved, 0.3).edges
-
-
-def test_grid_index_query_matches_brute_force():
-    rng = np.random.default_rng(13)
-    pts = rng.random((80, 2)) * 3.0
-    index = GridIndex(PointCloud(2, pts), 0.25)
-    for center in rng.random((10, 2)) * 3.0:
-        hits = sorted(index.query_ball(center, 0.25))
-        expected = [i for i in range(80)
-                    if np.linalg.norm(pts[i] - center) <= 0.25]
-        assert hits == expected
 
 
 def test_cloud_roundtrip_exact(tmp_path):

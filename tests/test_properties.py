@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cechlab.errors import ConfigurationError
-from cechlab.geometry import PointCloud
+from cechlab.geometry import PointCloud, geometric_graph
 from cechlab.persistence import persistent_betti
 from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
                                 _graphs_isomorphic, _three_sigma_overlap,
@@ -119,6 +119,92 @@ def test_sep_isolation_is_strict_beyond_two_r():
         ctx = sep(r).make(cloud)
         assert ctx((0, 1)) is isolated
     assert sep(r).make(PointCloud.from_points([], dim=2))(()) is True
+
+
+def _within_2r(p: list, q: list, r: float) -> bool:
+    """Closed squared-distance rule, written without cechlab code."""
+    reach = 2.0 * r
+    return sum((a - b) * (a - b) for a, b in zip(p, q)) <= reach * reach
+
+
+def _isolated_by_brute_force(pts: list, chosen: tuple, r: float) -> bool:
+    """No outside point within 2r of any member."""
+    inside = set(chosen)
+    return not any(_within_2r(pts[i], pts[j], r)
+                   for i in chosen for j in range(len(pts)) if j not in inside)
+
+
+def _closure(pts: list, start: int, r: float) -> set:
+    """Points reachable from start through gaps of at most 2r."""
+    seen, stack = {start}, [start]
+    while stack:
+        i = stack.pop()
+        for j in range(len(pts)):
+            if j not in seen and _within_2r(pts[i], pts[j], r):
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def _sep_cases(pts: list, r: float, rng: np.random.Generator) -> list:
+    """Isolated pieces, unions of them, a piece short of one point, random subsets."""
+    n = len(pts)
+    cases = []
+    for _ in range(6):
+        piece = _closure(pts, int(rng.integers(n)), r)
+        other = _closure(pts, int(rng.integers(n)), r)
+        cases += [piece, piece | other, piece - {min(piece)}, piece | {int(rng.integers(n))}]
+    for size in (1, 2, 3, 4):
+        cases += [set(rng.choice(n, size=min(size, n), replace=False).tolist())
+                  for _ in range(4)]
+    return [tuple(sorted(c)) for c in cases if c]
+
+
+def test_sep_matches_brute_force_isolation():
+    rng = np.random.default_rng(23)
+    clouds = []
+    # Random clouds on both sides of the 48-point cutoff between the pair
+    # scan and the k-d tree.
+    for n in (5, 12, 30, 48, 49, 80, 120):
+        d = 2 + n % 2
+        pts = rng.random((n, d))
+        scale = n ** (-1.0 / d)
+        clouds.append((pts, (0.25 * scale, 0.5 * scale, scale)))
+    # Exact-tie dyadic lattices with holes, at r equal to half a lattice
+    # distance: an outside point at exactly 2r must break isolation.
+    square = np.array([(i, j) for i in range(12) for j in range(12)]) * 0.125
+    cube = np.array([(i, j, k) for i in range(5) for j in range(5) for k in range(5)]) * 0.25
+    for lattice in (square[:40], square, cube):
+        kept = lattice[rng.random(len(lattice)) < 0.55]
+        spacing = float(lattice[1, -1] - lattice[0, -1])
+        clouds.append((kept, tuple(g / 2.0 for g in (spacing, math.sqrt(2.0) * spacing))))
+    # Duplicated points at r = 0: a copy left outside breaks isolation.
+    for n in (10, 60):
+        pts = rng.random((n, 2))
+        clouds.append((np.vstack([pts, pts[: n // 2]]), (0.0,)))
+    for pts, radii in clouds:
+        cloud = PointCloud(pts.shape[1], pts)
+        plain = pts.tolist()
+        outcomes = set()
+        for r in radii:
+            check = sep(r).make(cloud)
+            for chosen in _sep_cases(plain, r, rng):
+                expected = _isolated_by_brute_force(plain, chosen, r)
+                assert check(chosen) is expected, (len(plain), r, chosen)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
+def test_closed_pair_tests_agree_with_geometric_graph_in_the_last_bit():
+    # Python's dx**2 goes through libm pow, which can differ from dx*dx in
+    # the last bit (with glibc it does for this gap). Every pair test uses
+    # the geometric graph's x*x rule, so the pair is an edge at r = dx.
+    dx = 0.8332023486738223
+    pair = np.array([(0.0, 0.0), (dx, 0.0)])
+    assert geometric_graph(PointCloud(2, pair), dx).edges == ((0, 1),)
+    assert conn(dx / 2.0, 2)(pair) == 1
+    assert iso_graph(SmallGraph.complete(2), dx, 2)(pair) == 1
+    assert spread(dx, 2)(pair) == 0
 
 
 def test_comp_counts_isolated_connected_pieces():

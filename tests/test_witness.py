@@ -110,6 +110,20 @@ def test_witness_save_load_roundtrip(tmp_path):
     assert again.theta == witness.theta and again.k == witness.k
 
 
+def test_witness_file_is_a_header_over_the_cloud_format(tmp_path):
+    witness = construct_witness(1, 1.5)
+    path = tmp_path / "witness.txt"
+    witness.save(path)
+    witness.points.save(tmp_path / "cloud.txt")
+    head, body = path.read_text().split("\n", 1)
+    assert head == (f"{witness.k} {witness.theta!r} {witness.r!r} {witness.R!r} "
+                    f"{witness.verified_rank}")
+    assert body == (tmp_path / "cloud.txt").read_text()
+    path.write_text(path.read_text() + "0.5 0.5 0.5\n")
+    with pytest.raises(ValueError, match="header promised"):
+        CycleWitness.load(path)
+
+
 def test_witness_load_rejects_tampered_radius(tmp_path):
     witness = construct_witness(1, 1.5)
     path = tmp_path / "witness.txt"
