@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .geometry import PointCloud, geometric_graph, miniball
+from .geometry import PointCloud, _dist2, geometric_graph, miniball
 
 __all__ = ["FilteredComplex", "build_cech_filtration"]
 
@@ -80,7 +80,7 @@ def _cech_simplices(cloud: PointCloud, r_max: float,
     values: dict[tuple[int, ...], float] = {}
     frontier: list[tuple[int, ...]] = []
     for i, j in graph.edges:
-        value = 0.5 * math.sqrt(sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])))
+        value = 0.5 * math.sqrt(_dist2(pts[i], pts[j]))
         if value <= r_max:
             values[(i, j)] = value
             frontier.append((i, j))

@@ -293,9 +293,8 @@ def _check_scale(r: float) -> None:
 
 
 def _tree_pairs(cloud: PointCloud, r: float) -> np.ndarray:
-    """Sorted pairs i < j at distance <= r (closed), as an (m, 2) index array."""
-    pairs = cKDTree(cloud.points).query_pairs(r, output_type="ndarray")
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    """Pairs i < j at distance <= r (closed), in no fixed order, as an (m, 2) index array."""
+    return cKDTree(cloud.points).query_pairs(r, output_type="ndarray")
 
 
 def _labels(n: int, pairs: np.ndarray) -> np.ndarray:
@@ -311,7 +310,9 @@ def geometric_graph(cloud: PointCloud, r: float) -> GeometricGraph:
     _check_scale(r)
     if len(cloud) <= _BRUTE_FORCE_CUTOFF:
         return GeometricGraph(cloud, r, tuple(_brute_force_edges(cloud.as_tuples, r)))
-    return GeometricGraph(cloud, r, tuple(map(tuple, _tree_pairs(cloud, r).tolist())))
+    pairs = _tree_pairs(cloud, r)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return GeometricGraph(cloud, r, tuple(map(tuple, pairs.tolist())))
 
 
 def component_labels(cloud: PointCloud, r: float) -> np.ndarray:

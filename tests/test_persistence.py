@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cechlab.filtration import _build, build_cech_filtration
-from cechlab.geometry import PointCloud
+from cechlab.geometry import PointCloud, miniball
 from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, betti,
                                  betti_oracle, compute_persistence,
                                  persistent_betti)
@@ -130,6 +130,61 @@ def test_component_split_matches_whole_cloud_reduction():
                     assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == \
                         whole.rank(k, r, theta * r)
                 assert whole.rank(1, r, theta * r) >= 1
+
+
+def _planted_pieces(d: int, r: float) -> list[np.ndarray]:
+    """Planted pieces, each at its own offset beyond the unit cube."""
+    # A path whose other pairs are at least 2.11r apart: a tree at 2r that
+    # closes cycles at 2*theta*r for every theta >= 1.2.
+    path = np.array([(0.0, 0.0), (0.0, 1.8), (1.1, 1.8), (2.2, 1.8), (2.2, 0.0)]) * r
+    # Two edges at 2r joined into a 4-cycle only by sides of 2.2r.
+    strips = np.array([(0.0, 0.0), (1.9, 0.0), (1.9, 2.2), (0.0, 2.2)]) * r
+    # A square of side exactly 2r (r is a power of two): its edges enter at
+    # exactly r, so its cycle is born at r and dies at sqrt(2)*r.
+    square = np.array([(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]) * r
+    pieces = [(path, 3.0), (strips, 4.0), (square, 5.0)]
+    if d == 3:
+        # A hollow octahedron: its void lives on [0.816a, a) with a = 1.22r.
+        octahedron = np.vstack([np.eye(3), -np.eye(3)]) * 1.22 * r
+        pieces.append((octahedron, 6.0))
+    out = []
+    for piece, offset in pieces:
+        placed = np.full((len(piece), d), offset)
+        placed[:, :piece.shape[1]] += piece
+        out.append(placed)
+    return out
+
+
+def test_forest_components_are_skipped_exactly():
+    # Above 48 points persistent_betti reduces, in degrees k >= 1, only the
+    # components whose graph at 2r has a cycle. Reference: the whole cloud.
+    rng = np.random.default_rng(73)
+    for _ in range(6):
+        n = int(rng.integers(49, 251))
+        d = int(rng.integers(2, 4))
+        r = 2.0 ** round(math.log2(0.45 * n ** (-1.0 / d)))
+        planted = np.vstack(_planted_pieces(d, r))
+        points = np.vstack([rng.random((n - len(planted), d)), planted])
+        cloud = PointCloud(d, points[rng.permutation(n)])
+        for theta in (1.0, 1.2, 1.4, 2.0):
+            for p in (2, 3):
+                whole = compute_persistence(_build(cloud, theta * r, 3, force=True), FieldSpec(p))
+                for k in (1, 2):
+                    assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == \
+                        whole.rank(k, r, theta * r)
+                if theta < math.sqrt(2.0):
+                    assert whole.rank(1, r, theta * r) >= 1  # at least the square
+                if d == 3 and theta == 1.2:
+                    assert whole.rank(2, r, theta * r) >= 1  # the octahedron
+
+
+def test_edge_value_squares_like_the_geometric_graph():
+    # (a - b) ** 2 through libm pow rounds this edge's value one bit above the
+    # miniball radius; x * x, as in geometric_graph, does not.
+    cloud = PointCloud.from_points([(0.0, 0.0), (0.9246167895943446, 0.4141896219577419)])
+    r = miniball(cloud).radius
+    assert r == 0.5065740939233987
+    assert betti(cloud, r, 0) == betti_oracle(cloud, r, 0) == 1
 
 
 def test_persistent_betti_monotone_in_theta():
