@@ -235,6 +235,56 @@ def miniball(points: Iterable[Sequence[float]] | PointCloud | np.ndarray) -> Bal
     return Ball(c, r)
 
 
+def _rows_dist2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`_dist2` of each row pair, summed one coordinate column at a time in its order."""
+    s = np.zeros(len(p))
+    for c in range(p.shape[1]):
+        t = p[:, c] - q[:, c]
+        s = s + t * t
+    return s
+
+
+def _circumradii(P: np.ndarray) -> np.ndarray:
+    """`_circumball(...)` radii of a stack of three-point boundaries, (m, 3, d) -> (m,).
+
+    The same numpy calls as `_circumball`, stacked, so every radius is bit-equal.
+    """
+    base = P[:, 0]
+    u = P[:, 1:] - base[:, None, :]
+    gram = u @ u.transpose(0, 2, 1)
+    rhs = 0.5 * np.einsum("mij,mij->mi", u, u)
+    try:
+        coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # One singular gram fails the whole stack: halve it until the singular
+        # ones stand alone, and give those `_circumball`'s least-squares solve.
+        if len(P) == 1:
+            return np.array([_circumball(list(map(tuple, P[0].tolist())))[1]])
+        half = len(P) // 2
+        return np.concatenate([_circumradii(P[:half]), _circumradii(P[half:])])
+    center = base + (coeff[:, None, :] @ u)[:, 0]
+    return np.sqrt(np.maximum(_rows_dist2(center, base), 0.0))
+
+
+def _triangle_radii(P: np.ndarray) -> np.ndarray:
+    """`miniball(P[t]).radius` for each triangle t of a stack, (m, 3, d) -> (m,), bit-equal.
+
+    The batched twin of `miniball`'s three-point branch: the smallest
+    diametral ball of a pair that holds the third point (the first such pair
+    on ties), else the circumball.
+    """
+    radius = np.full(len(P), np.inf)
+    for a, b, other in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        center = (P[:, a] + P[:, b]) / 2.0
+        r = np.sqrt(_rows_dist2(center, P[:, a]))
+        holds = _rows_dist2(center, P[:, other]) <= r * r * (1.0 + _EPS)
+        radius = np.where(holds & (r < radius), r, radius)
+    rest = np.isinf(radius)
+    if rest.any():
+        radius[rest] = _circumradii(P[rest])
+    return radius
+
+
 def ball_volume(dim: int, radius: float) -> float:
     """Lebesgue volume of a d-ball."""
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius ** dim
@@ -260,9 +310,6 @@ class GeometricGraph:
         for i, j in self.edges:
             adj[i].append(j)
         return tuple(tuple(sorted(s)) for s in adj)
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     @cached_property
     def labels(self) -> np.ndarray:

@@ -24,10 +24,13 @@ degree 0. So in degrees k >= 1 only components of k+2 or more points
 whose graph at 2r has a cycle (edges - vertices + components > 0) are
 built and reduced. In the subcritical regime almost every component is
 a tiny tree: at n = 1e5 a figure-1 cloud has about 8.8k components of 3
-or more points, and about 1.6k of them have a cycle at 2r. Each
-component is built as its own sub-cloud in ascending index order, which
-keeps the miniball inputs, the filtration order and the pairings of a
-whole-cloud run, so the result is identical.
+or more points, and about 1.6k of them have a cycle at 2r. The kept
+components are built together in one batched pass over the pairs that
+the labelling found (`filtration._component_filtrations`), with triangle
+radii bit-equal to `miniball`'s, and each is reduced on its own. Each
+complex equals the one built from its component as a sub-cloud in
+ascending index order, so the filtration order and the pairings are
+those of a whole-cloud run and the result is identical.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtration import FilteredComplex, _build
+from .filtration import FilteredComplex, _build, _component_filtrations
 from .geometry import _BRUTE_FORCE_CUTOFF, PointCloud, _labels, _tree_pairs, miniball
 
 __all__ = [
@@ -238,7 +241,9 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
     recovers the ordinary Betti number. Computed as a sum over the
     connected components of the geometric graph at 2*theta*r; for k >= 1
     only components whose graph at 2r has a cycle are reduced (see the
-    module docstring). Clouds of at most 48 points are reduced whole.
+    module docstring). Their filtrations are built in one batched pass,
+    with triangle radii bit-equal to `miniball`'s. Clouds of at most 48
+    points are reduced whole.
     """
     if r < 0.0 or not math.isfinite(r):
         raise ValueError(f"radius must be a finite nonnegative real, got {r}")
@@ -253,12 +258,23 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
         # Labelling costs a fixed few hundred microseconds (scipy.sparse and
         # csgraph), more than reducing a cloud this small whole.
         return _rank(cloud, r, r_outer, k, field_spec)
+    lone, components = _component_complexes(cloud, r, r_outer, k)
+    return lone + sum(compute_persistence(complex_, field_spec).rank(k, r, r_outer)
+                      for _, complex_ in components)
+
+
+def _component_complexes(cloud: PointCloud, r: float, r_outer: float,
+                         k: int) -> tuple[int, list[tuple[np.ndarray, FilteredComplex]]]:
+    """The split behind `persistent_betti` above 48 points.
+
+    Returns the number of lone points (their classes, counted only for
+    k = 0) and (members, filtration up to dimension k+1) for every component
+    that is reduced, all built in one batched pass.
+    """
     pairs = _tree_pairs(cloud, 2.0 * r_outer)
     labels = _labels(len(cloud), pairs)
     sizes = np.bincount(labels)
-    by_label = np.argsort(labels, kind="stable")  # ascending indices within a component
-    ends = np.cumsum(sizes)
-    total = int(np.count_nonzero(sizes == 1)) if k == 0 else 0  # a lone point: one class
+    lone = int(np.count_nonzero(sizes == 1)) if k == 0 else 0
     keep = sizes >= k + 2
     if k > 0:
         # Keep a component only if its graph at 2r, a superset of the 1-skeleton
@@ -271,10 +287,7 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
         cycles = (np.bincount(labels[inner[:, 0]], minlength=len(sizes)) - sizes
                   + np.bincount(outer_of, minlength=len(sizes)))
         keep &= cycles > 0
-    for label in np.flatnonzero(keep):
-        members = by_label[ends[label] - sizes[label]:ends[label]]
-        total += _rank(PointCloud(cloud.dim, cloud.points[members]), r, r_outer, k, field_spec)
-    return total
+    return lone, _component_filtrations(cloud.points, pairs, labels, keep, r_outer, k + 1)
 
 
 def _rank(cloud: PointCloud, r: float, r_outer: float, k: int, field_spec: FieldSpec) -> int:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .geometry import PointCloud, _format_cloud, _parse_cloud
 from .persistence import FieldSpec, GF2, compute_persistence, persistent_betti
 from .filtration import _build
@@ -152,6 +153,13 @@ def _max_cell_diameter(coords: dict[int, np.ndarray], cells: list[tuple[int, ...
     return worst
 
 
+# Cells one subdivision round of `construct_witness` may produce. Each round
+# multiplies the cells by (k+1)!: k = 1 stays below 200 cells up to theta = 10
+# and k = 2 needs 31,104 up to theta = 2.5, while k = 3 at theta = 1 would need
+# about 5 * 24**7 (2e10). The cap stops k = 3 before its 69,120-cell round.
+_MAX_WITNESS_CELLS = 50_000
+
+
 def construct_witness(k: int, theta: float, field_spec: FieldSpec = GF2,
                       max_rounds: int = 12) -> CycleWitness:
     """Witness for a theta-persistent k-cycle on k+2+ points in R^(k+2).
@@ -163,6 +171,8 @@ def construct_witness(k: int, theta: float, field_spec: FieldSpec = GF2,
     r: then r-balls around the vertices cover the boundary sphere while
     theta*r-balls still miss the circumcenter, so the boundary cycle
     survives from r to theta*r. The result is verified before returning.
+    Raises ConfigurationError, before subdividing, when the next round would
+    pass `_MAX_WITNESS_CELLS` cells.
     """
     if k < 1:
         raise ValueError(f"cycle degree must be at least 1, got {k}")
@@ -180,6 +190,11 @@ def construct_witness(k: int, theta: float, field_spec: FieldSpec = GF2,
     while _max_cell_diameter(coords, cells) > r:
         if rounds >= max_rounds:
             raise RuntimeError(f"subdivision did not reach mesh {r} in {max_rounds} rounds")
+        predicted = len(cells) * math.factorial(k + 1)
+        if predicted > _MAX_WITNESS_CELLS:
+            raise ConfigurationError(
+                f"a witness for k={k}, theta={theta} needs a subdivision round of "
+                f"{predicted} cells, above the cap of {_MAX_WITNESS_CELLS}")
         coords, cells = _barycentric_subdivision(coords, cells)
         rounds += 1
 

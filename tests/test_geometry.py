@@ -8,7 +8,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cechlab.geometry import Ball, PointCloud, ball_volume, geometric_graph, miniball
+from cechlab.geometry import (Ball, PointCloud, _circumball, _circumradii, _triangle_radii,
+                              ball_volume, geometric_graph, miniball)
 
 
 def _miniball_oracle(points: np.ndarray) -> float:
@@ -96,6 +97,59 @@ def test_miniball_duplicates_and_empty():
     assert miniball([(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)]).radius == 0.0
     with pytest.raises(ValueError):
         miniball([])
+
+
+def _miniball_radii(triangles: np.ndarray) -> np.ndarray:
+    return np.array([miniball(t).radius for t in triangles])
+
+
+def test_triangle_radii_bit_equal_to_miniball():
+    # The batched twin must reproduce miniball's three-point branch exactly
+    # (==, not approx): filtration values, and so every complex, depend on it.
+    rng = np.random.default_rng(17)
+    equilateral = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
+    for d in (2, 3):
+        near = np.zeros((10_000, 3, d))
+        near[:, :, :2] = equilateral
+        near = (near * rng.uniform(1e-3, 2.0, (len(near), 1, 1))
+                + rng.normal(0.0, 1e-4, near.shape) + rng.random((len(near), 1, d)))
+        triangles = np.concatenate([rng.random((90_000, 3, d)), near])
+        assert np.array_equal(_triangle_radii(triangles), _miniball_radii(triangles))
+    # Every triple of a dyadic 5x5 lattice at spacing 1/8: right, isosceles
+    # and collinear triangles with exact ties, in the plane and lifted to 3d.
+    grid = np.array([(i, j) for i in range(5) for j in range(5)]) * 0.125
+    triangles = grid[np.array(list(combinations(range(len(grid)), 3)))]
+    assert len(triangles) == 2300
+    lifted = np.concatenate([triangles, np.full((2300, 3, 1), 0.375)], axis=2)
+    for batch in (triangles, lifted):
+        assert np.array_equal(_triangle_radii(batch), _miniball_radii(batch))
+    # Duplicated and exactly collinear triples.
+    base = rng.random((200, 2))
+    step = rng.random((200, 2))
+    special = np.concatenate([
+        np.stack([base, base, base], axis=1),
+        np.stack([base, base, base + step], axis=1),
+        np.stack([base + step, base, base], axis=1),
+        np.stack([base, base + step, base], axis=1),
+        np.stack([base, base + step, base + 2.0 * step], axis=1),
+        np.stack([base + 2.0 * step, base, base + step], axis=1),
+        grid[np.array([(0, 1, 2), (0, 6, 12), (24, 12, 0), (4, 3, 2)])],
+    ])
+    assert np.array_equal(_triangle_radii(special), _miniball_radii(special))
+
+
+def test_circumradii_singular_gram_falls_back_per_triangle():
+    # One singular gram fails a stacked np.linalg.solve; the collinear triple
+    # must get _circumball's least-squares radius and its neighbours their own.
+    rng = np.random.default_rng(19)
+    triangles = rng.random((64, 3, 2))
+    triangles[5] = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+    triangles[40] = [(0.5, 0.5), (0.5, 0.5), (0.25, 0.75)]
+    u = triangles[:, 1:] - triangles[:, :1]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(u @ u.transpose(0, 2, 1), np.ones((len(u), 2, 1)))
+    expected = np.array([_circumball(list(map(tuple, t.tolist())))[1] for t in triangles])
+    assert np.array_equal(_circumradii(triangles), expected)
 
 
 def test_ball_contains_closed_boundary():

@@ -9,8 +9,8 @@ import pytest
 
 from cechlab.filtration import _build, build_cech_filtration
 from cechlab.geometry import PointCloud, miniball
-from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, betti,
-                                 betti_oracle, compute_persistence,
+from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, _component_complexes,
+                                 betti, betti_oracle, compute_persistence,
                                  persistent_betti)
 
 
@@ -176,6 +176,73 @@ def test_forest_components_are_skipped_exactly():
                     assert whole.rank(1, r, theta * r) >= 1  # at least the square
                 if d == 3 and theta == 1.2:
                     assert whole.rank(2, r, theta * r) >= 1  # the octahedron
+
+
+def _assert_components_match_build(cloud: PointCloud, r: float, theta: float, k: int) -> int:
+    """Each batched component filtration equals `_build` of its sub-cloud; returns how many."""
+    _, components = _component_complexes(cloud, r, theta * r, k)
+    for members, complex_ in components:
+        assert list(members) == sorted(members)
+        complex_.validate()
+        sub = PointCloud(cloud.dim, cloud.points[members])
+        assert complex_.vertex_count == len(sub)
+        assert complex_.simplices == _build(sub, theta * r, k + 1, force=True).simplices
+    return len(components)
+
+
+def test_batched_component_filtrations_match_build():
+    # Above 48 points the kept components are built in one batched pass (with
+    # triangle radii from geometry._triangle_radii); the reference builds each
+    # one as its own sub-cloud with scalar miniball calls.
+    rng = np.random.default_rng(83)
+    built = 0
+    for _ in range(6):
+        n = int(rng.integers(49, 251))
+        d = int(rng.integers(2, 4))
+        cloud = PointCloud(d, rng.random((n, d)))
+        r = 0.4 * n ** (-1.0 / d)
+        for theta in (1.0, 1.2, 1.4, 2.0):
+            for k in (0, 1, 2):
+                built += _assert_components_match_build(cloud, r, theta, k)
+    # r = 0 with duplicated points: edges, triangles and tetrahedra of copies.
+    pts = rng.random((40, 2))
+    cloud = PointCloud(2, np.vstack([pts, pts[:20], pts[:10], pts[:5]]))
+    for k in (0, 1, 2):
+        built += _assert_components_match_build(cloud, 0.0, 1.5, k)
+    # Planted pieces and holed dyadic lattices at exact ties: right triangles
+    # whose third vertex lies on the diametral sphere of the hypotenuse.
+    for d in (2, 3):
+        n = 120
+        r = 2.0 ** round(math.log2(0.45 * n ** (-1.0 / d)))
+        planted = np.vstack(_planted_pieces(d, r))
+        cloud = PointCloud(d, np.vstack([rng.random((n - len(planted), d)), planted]))
+        for theta in (1.0, 1.2, 1.4, 2.0):
+            for k in (0, 1, 2):
+                built += _assert_components_match_build(cloud, r, theta, k)
+    # Thales pieces: an antipodal pair and two more points on a circle, so the
+    # third vertex of each right triangle is on the diametral sphere only up
+    # to rounding, where miniball's relative slack decides.
+    r = 0.05
+    pieces = []
+    for offset in range(12):
+        angles = np.concatenate([[0.0, math.pi], rng.uniform(0.0, 2.0 * math.pi, 2)])
+        angles += rng.uniform(0.0, math.pi)
+        circle = 0.97 * r * np.column_stack([np.cos(angles), np.sin(angles)])
+        pieces.append(circle + (2.0 + 0.5 * offset, 2.0))
+    cloud = PointCloud(2, np.vstack([rng.random((30, 2))] + pieces))
+    for theta in (1.0, 1.2):
+        for k in (1, 2):
+            built += _assert_components_match_build(cloud, r, theta, k)
+    square = np.array([(i, j) for i in range(10) for j in range(10)]) * 0.125
+    cube = np.array([(i, j, k) for i in range(5) for j in range(5) for k in range(5)]) * 0.25
+    for lattice in (square, cube):
+        cloud = PointCloud(lattice.shape[1], lattice[rng.random(len(lattice)) < 0.7])
+        spacing = float(lattice[1, -1] - lattice[0, -1])
+        for r in (spacing / 2.0, math.sqrt(2.0) * spacing / 2.0):
+            for theta in (1.0, 1.2, 1.4):
+                for k in (0, 1, 2):
+                    built += _assert_components_match_build(cloud, r, theta, k)
+    assert built > 200
 
 
 def test_edge_value_squares_like_the_geometric_graph():

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from cechlab.errors import ConfigurationError
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
 from cechlab.persistence import compute_persistence
@@ -47,6 +49,15 @@ def test_construct_witness_validation():
         construct_witness(1, 0.9)
     with pytest.raises(ValueError):
         construct_witness(1, math.inf)
+
+
+def test_construct_witness_refuses_an_oversized_subdivision_fast():
+    # k = 3 at theta = 1 would need about 5 * 24**7 cells; the prediction of
+    # the next round's cell count stops it before memory runs out.
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match=r"k=3, theta=1\.0 .* 69120 cells"):
+        construct_witness(3, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zeta_indicator_scale_invariance_at_powers_of_two():
