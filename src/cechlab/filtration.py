@@ -23,6 +23,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .geometry import (PointCloud, _dist2, _rows_dist2, _triangle_radii, geometric_graph,
                        miniball)
 
@@ -203,6 +204,13 @@ def _component_filtrations(points: np.ndarray, pairs: np.ndarray, labels: np.nda
     return out
 
 
+# Candidate triangles `_triangles` may enumerate at once; each takes at least
+# 40 bytes of index arrays. Figure-1 clouds at n = 1e5 need under 6,000 and
+# `construct_witness(1, 10.0)` about 440,000; the k = 2 witness at theta = 1,
+# one 2594-point component, would need 5.3e8.
+_MAX_TRIANGLE_CANDIDATES = 5_000_000
+
+
 def _triangles(points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray,
                r_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Triangles of a lexsorted edge list with value <= r_max, and their values.
@@ -210,12 +218,19 @@ def _triangles(points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray,
     For each edge (i, j), every edge (j, v) gives a candidate (i, j, v),
     kept if (i, v) is an edge too (binary search on the keys i*n + v). Its
     value is the largest of its miniball radius and its three edge values.
+    Raises ConfigurationError, before allocating them, when the candidates
+    number more than `_MAX_TRIANGLE_CANDIDATES`.
     """
     n = len(points)
     first, second = edges[:, 0], edges[:, 1]
     count = np.bincount(first, minlength=n)
     start = np.cumsum(count) - count
     reps = count[second]
+    candidates = int(reps.sum())
+    if candidates > _MAX_TRIANGLE_CANDIDATES:
+        raise ConfigurationError(
+            f"the filtration needs {candidates} candidate triangles, above the cap of "
+            f"{_MAX_TRIANGLE_CANDIDATES}")
     ij = np.repeat(np.arange(len(edges)), reps)
     jv = start[second[ij]] + np.arange(len(ij)) - np.repeat(np.cumsum(reps) - reps, reps)
     keys = first.astype(np.int64) * n + second

@@ -11,10 +11,12 @@ import pytest
 from cechlab.errors import ConfigurationError
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
-from cechlab.persistence import compute_persistence
+from cechlab.persistence import GF2, compute_persistence
 from cechlab.sampling import stream
-from cechlab.witness import (CycleWitness, MBracket,
-                             _triangle_persistence_ratios, bracket_m,
+from cechlab.witness import (CycleWitness, MBracket, _batch_ratios,
+                             _config_ratio, _highest_bit,
+                             _triangle_persistence_ratios,
+                             _witness_from_config, bracket_m,
                              construct_witness, perturb_and_verify,
                              perturbation_radius, search_m,
                              upper_bound_constant, zeta_indicator)
@@ -58,6 +60,15 @@ def test_construct_witness_refuses_an_oversized_subdivision_fast():
     with pytest.raises(ConfigurationError, match=r"k=3, theta=1\.0 .* 69120 cells"):
         construct_witness(3, 1.0)
     assert time.perf_counter() - start < 1.0
+
+
+def test_construct_witness_k2_stops_before_the_triangle_candidates():
+    # The k = 2 witness at theta = 1 is one 2594-point component with 5.3e8
+    # candidate triangles; the batched build refuses them before allocating.
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match=r"533726666 candidate triangles"):
+        construct_witness(2, 1.0)
+    assert time.perf_counter() - start < 30.0
 
 
 def test_zeta_indicator_scale_invariance_at_powers_of_two():
@@ -172,6 +183,94 @@ def test_refinement_finds_the_four_point_witness():
     assert witness.verify() >= 1
     # Uniform sampling alone misses the near-square basin at this budget.
     assert search_m(2, 1, 1.4, 4, 4096, stream(7), refine=False) is None
+
+
+def _scalar_search(d: int, k: int, theta: float, p: int, trials: int,
+                   rng: np.random.Generator) -> CycleWitness | None:
+    """`search_m`'s batch loop with every configuration scored by `_config_ratio` alone."""
+    from scipy.optimize import minimize
+
+    done = 0
+    while done < trials:
+        count = min(4096, trials - done)
+        configs = rng.random((count, p, d))
+        ratios = np.array([_config_ratio(config, k, GF2) for config in configs])
+        for i in np.flatnonzero(ratios > theta):
+            witness = _witness_from_config(configs[i], d, k, theta, GF2)
+            if witness is not None:
+                return witness
+        start = configs[int(ratios.argmax())].reshape(-1)
+        result = minimize(lambda x: -_config_ratio(x.reshape(p, d), k, GF2),
+                          start, method="Nelder-Mead",
+                          options={"maxfev": 400, "xatol": 1e-4, "fatol": 1e-6})
+        if -result.fun > theta:
+            witness = _witness_from_config(result.x.reshape(p, d), d, k, theta, GF2)
+            if witness is not None:
+                return witness
+        done += count
+    return None
+
+
+@pytest.mark.parametrize("d, theta, p, trials, path", [
+    (2, 1.2, 4, 65_536, (0, 4, 0)),  # the benchmark's 4-point search: first batch
+    (2, 1.4, 4, 8192, (7,)),  # found only by the refinement
+    (2, 1.3, 5, 8192, (5, 5)),
+])
+def test_batched_search_returns_the_scalar_witness(d, theta, p, trials, path):
+    batched = search_m(d, 1, theta, p, trials, stream(*path))
+    scalar = _scalar_search(d, 1, theta, p, trials, stream(*path))
+    assert batched is not None and scalar is not None
+    assert batched.points.points.tobytes() == scalar.points.points.tobytes()
+    assert (batched.r, batched.R, batched.verified_rank) == (scalar.r, scalar.R,
+                                                             scalar.verified_rank)
+
+
+def test_highest_bit_survives_rounding_past_a_power_of_two():
+    # 2**b - 1 with b > 53 bits converts to the float 2**b.
+    bits = np.arange(1, 63)
+    ones = (np.int64(1) << bits) - 1
+    assert np.array_equal(_highest_bit(ones), bits - 1)
+    assert np.array_equal(_highest_bit(np.int64(1) << bits), bits)
+
+
+def _assert_batch_ratios_exact(configs: np.ndarray) -> None:
+    scalar = np.array([_config_ratio(config, 1, GF2) for config in configs])
+    batched = _batch_ratios(configs)
+    assert batched.dtype == np.float64 and batched.shape == scalar.shape
+    mismatch = np.flatnonzero(batched != scalar)
+    assert len(mismatch) == 0, (configs[mismatch[0]].tolist(), batched[mismatch[0]],
+                                scalar[mismatch[0]])
+
+
+def test_batch_ratios_bit_equal_to_config_ratio():
+    rng = np.random.default_rng(61)
+    for count, p, d in ((20_000, 4, 2), (5000, 5, 2), (5000, 6, 2), (5000, 4, 3),
+                        (200, 11, 2)):
+        _assert_batch_ratios_exact(rng.random((count, p, d)))
+    # Dyadic lattice: exact ties between edge values, and right angles.
+    lattice = np.array([(i, j) for i in range(5) for j in range(5)], dtype=np.float64) / 8.0
+    for p in (4, 5, 6):
+        subsets = np.array([rng.choice(len(lattice), p, replace=False) for _ in range(1500)])
+        _assert_batch_ratios_exact(lattice[subsets])
+        # With replacement: duplicated points, edges of value 0.
+        _assert_batch_ratios_exact(lattice[rng.integers(0, len(lattice), (500, p))])
+    cube = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(3)],
+                    dtype=np.float64) / 4.0
+    _assert_batch_ratios_exact(cube[np.array([rng.choice(27, 6, replace=False)
+                                              for _ in range(500)])])
+    # Rotated rectangles: their right triangles die at the diagonal, whose edge
+    # value and Thales radius round apart in the last bit.
+    corner, side = rng.random((2000, 1, 2)), rng.random((2000, 1, 2)) - 0.5
+    turned = rng.uniform(0.5, 1.0, (2000, 1, 1)) * side[..., ::-1] * [-1.0, 1.0]
+    _assert_batch_ratios_exact(np.concatenate(
+        [corner, corner + side, corner + side + turned, corner + turned], axis=1))
+    # All points equal (diameter 0), and points exactly on a line.
+    _assert_batch_ratios_exact(np.full((20, 5, 2), 0.375))
+    t = rng.random((500, 5, 1))
+    _assert_batch_ratios_exact(np.concatenate([t, 2.0 * t], axis=2))
+    _assert_batch_ratios_exact(np.concatenate([t, 2.0 * t, -4.0 * t], axis=2))
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert _batch_ratios(square[None])[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_search_validation():
