@@ -9,7 +9,7 @@ simplex with miniball radius <= r_max has all pairwise distances
 
 `_build` grows one cloud's complex with a scalar `miniball` call per
 candidate simplex. `_component_filtrations` builds the complexes of many
-components of a large cloud in one batched numpy pass: edges and
+components of a cloud in one batched numpy pass: edges and
 triangles are enumerated as arrays from the cloud's neighbour pairs, and
 triangle radii come from `geometry._triangle_radii`, which is bit-equal
 to `miniball`. Each of its complexes equals `_build` of that component.

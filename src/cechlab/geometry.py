@@ -14,8 +14,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 __all__ = [
@@ -31,9 +29,6 @@ __all__ = [
 # Relative slack used when testing ball membership; keeps Welzl stable
 # without inflating radii beyond the documented 1e-9 containment bound.
 _EPS = 1e-12
-
-# Up to this size a direct pair scan beats building a k-d tree.
-_BRUTE_FORCE_CUTOFF = 48
 
 
 @dataclass(frozen=True)
@@ -345,27 +340,37 @@ def _tree_pairs(cloud: PointCloud, r: float) -> np.ndarray:
 
 
 def _labels(n: int, pairs: np.ndarray) -> np.ndarray:
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
-    adjacency = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
-                           shape=(n, n))
-    return connected_components(adjacency, directed=False)[1]
+    """Component label of each of n points, components numbered by smallest member.
+
+    Each round hooks the larger root of every pair joining two roots under
+    the smaller one (any hook of a root may win, and all point down), then
+    halves paths until every point points at its root. The joining pairs go
+    to the next round reversed, so a sorted pair list cannot make a star's
+    centre take one leaf per round.
+    """
+    root = np.arange(n)
+    a, b = pairs[:, 0], pairs[:, 1]
+    while True:
+        ra, rb = root[a], root[b]
+        joins = np.flatnonzero(ra != rb)[::-1]
+        if not len(joins):
+            return (np.cumsum(root == np.arange(n)) - 1)[root]
+        a, b, ra, rb = a[joins], b[joins], ra[joins], rb[joins]
+        root[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        halved = root[root]
+        while not np.array_equal(halved, root):
+            root, halved = halved, halved[halved]
 
 
 def geometric_graph(cloud: PointCloud, r: float) -> GeometricGraph:
-    """Geometric graph at scale r: a direct pair scan for tiny clouds, a k-d tree above."""
+    """Geometric graph at scale r, with edges from a k-d tree pair query."""
     _check_scale(r)
-    if len(cloud) <= _BRUTE_FORCE_CUTOFF:
-        return GeometricGraph(cloud, r, tuple(_brute_force_edges(cloud.as_tuples, r)))
     pairs = _tree_pairs(cloud, r)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return GeometricGraph(cloud, r, tuple(map(tuple, pairs.tolist())))
 
 
 def component_labels(cloud: PointCloud, r: float) -> np.ndarray:
-    """`geometric_graph(cloud, r).labels`, without building edge tuples for large clouds."""
-    if len(cloud) <= _BRUTE_FORCE_CUTOFF:
-        return geometric_graph(cloud, r).labels
+    """`geometric_graph(cloud, r).labels`, without building edge tuples."""
     _check_scale(r)
     return _labels(len(cloud), _tree_pairs(cloud, r))
-

@@ -30,7 +30,8 @@ the labelling found (`filtration._component_filtrations`), with triangle
 radii bit-equal to `miniball`'s, and each is reduced on its own. Each
 complex equals the one built from its component as a sub-cloud in
 ascending index order, so the filtration order and the pairings are
-those of a whole-cloud run and the result is identical.
+those of a whole-cloud run and the result is identical. Clouds of every
+size take this path; `geometry._labels` labels the components in numpy.
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtration import FilteredComplex, _build, _component_filtrations
-from .geometry import _BRUTE_FORCE_CUTOFF, PointCloud, _labels, _tree_pairs, miniball
+from .filtration import FilteredComplex, _component_filtrations
+from .geometry import PointCloud, _labels, _tree_pairs, miniball
 
 __all__ = [
     "FieldSpec",
@@ -242,8 +243,7 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
     connected components of the geometric graph at 2*theta*r; for k >= 1
     only components whose graph at 2r has a cycle are reduced (see the
     module docstring). Their filtrations are built in one batched pass,
-    with triangle radii bit-equal to `miniball`'s. Clouds of at most 48
-    points are reduced whole.
+    with triangle radii bit-equal to `miniball`'s.
     """
     if r < 0.0 or not math.isfinite(r):
         raise ValueError(f"radius must be a finite nonnegative real, got {r}")
@@ -254,10 +254,6 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
     if len(cloud) == 0:
         return 0
     r_outer = theta * r
-    if len(cloud) <= _BRUTE_FORCE_CUTOFF:
-        # Labelling costs a fixed few hundred microseconds (scipy.sparse and
-        # csgraph), more than reducing a cloud this small whole.
-        return _rank(cloud, r, r_outer, k, field_spec)
     lone, components = _component_complexes(cloud, r, r_outer, k)
     return lone + sum(compute_persistence(complex_, field_spec).rank(k, r, r_outer)
                       for _, complex_ in components)
@@ -265,11 +261,12 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
 
 def _component_complexes(cloud: PointCloud, r: float, r_outer: float,
                          k: int) -> tuple[int, list[tuple[np.ndarray, FilteredComplex]]]:
-    """The split behind `persistent_betti` above 48 points.
+    """The split behind `persistent_betti`, for clouds of every size.
 
     Returns the number of lone points (their classes, counted only for
     k = 0) and (members, filtration up to dimension k+1) for every component
-    that is reduced, all built in one batched pass.
+    that is reduced, all built in one batched pass, which is skipped when no
+    component is kept.
     """
     pairs = _tree_pairs(cloud, 2.0 * r_outer)
     labels = _labels(len(cloud), pairs)
@@ -287,12 +284,9 @@ def _component_complexes(cloud: PointCloud, r: float, r_outer: float,
         cycles = (np.bincount(labels[inner[:, 0]], minlength=len(sizes)) - sizes
                   + np.bincount(outer_of, minlength=len(sizes)))
         keep &= cycles > 0
+    if not keep.any():
+        return lone, []
     return lone, _component_filtrations(cloud.points, pairs, labels, keep, r_outer, k + 1)
-
-
-def _rank(cloud: PointCloud, r: float, r_outer: float, k: int, field_spec: FieldSpec) -> int:
-    complex_ = _build(cloud, r_outer, k + 1, force=True)
-    return compute_persistence(complex_, field_spec).rank(k, r, r_outer)
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:

@@ -7,9 +7,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from cechlab.geometry import (Ball, PointCloud, _circumball, _circumradii, _triangle_radii,
-                              ball_volume, geometric_graph, miniball)
+from cechlab.geometry import (Ball, PointCloud, _circumball, _circumradii, _labels,
+                              _tree_pairs, _triangle_radii, ball_volume, geometric_graph,
+                              miniball)
+from cechlab.sampling import Density, sample_poisson, stream
 
 
 def _miniball_oracle(points: np.ndarray) -> float:
@@ -188,10 +192,10 @@ def test_geometric_graph_zero_radius_groups_duplicates():
 def test_geometric_graph_grid_matches_brute_force():
     rng = np.random.default_rng(11)
     clouds = [(rng.random((n, 2)), (0.05, 0.2, 0.6)) for n in (5, 47, 48, 49, 130)]
-    # Exact-tie lattices above the 48-point cutoff, at r equal to a lattice
-    # distance: the k-d tree path must keep the closed convention. Dyadic
-    # coordinates make axis-neighbour distances exact; the doubled lattice
-    # adds duplicate points for r = 0.
+    # Exact-tie lattices, at r equal to a lattice distance: the k-d tree
+    # pair query must keep the closed convention. Dyadic coordinates make
+    # axis-neighbour distances exact; the doubled lattice adds duplicate
+    # points for r = 0.
     square = np.array([(i, j) for i in range(8) for j in range(8)]) * 0.125 + 0.25
     cube = np.array([(i, j, k) for i in range(4) for j in range(4) for k in range(4)]) * 0.25
     for lattice in (square, cube, np.vstack([square, square])):
@@ -205,6 +209,42 @@ def test_geometric_graph_grid_matches_brute_force():
             expected = {(i, j) for i in range(n) for j in range(i + 1, n)
                         if ((pts[i] - pts[j]) ** 2).sum() <= r * r}
             assert edges == expected
+
+
+def _csgraph_labels(n: int, pairs: np.ndarray) -> np.ndarray:
+    adjacency = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
+                           shape=(n, n))
+    return connected_components(adjacency, directed=False)[1]
+
+
+def test_labels_match_csgraph():
+    # The numpy labeller against scipy's: the same array, numbering included
+    # (components in the order of their smallest index).
+    rng = np.random.default_rng(17)
+    cases = [(0, np.zeros((0, 2), dtype=np.intp)), (1, np.zeros((0, 2), dtype=np.intp)),
+             (1, np.array([[0, 0]])), (7, np.zeros((0, 2), dtype=np.intp))]
+    for n in range(2, 61):
+        for m in (1, n // 2, n, 3 * n):
+            pairs = np.sort(rng.integers(0, n, size=(m, 2)), axis=1)
+            cases.append((n, pairs))
+            cases.append((n, np.vstack([pairs, pairs[::-1]])))  # every pair twice
+    for n in (2, 9, 60):
+        path = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+        cases += [(n, path), (n, path[::-1]), (n + 3, path + 3)]
+        for centre in (0, n // 2, n - 1):
+            leaves = np.delete(np.arange(n), centre)
+            star = np.sort(np.column_stack([leaves, np.full(n - 1, centre)]), axis=1)
+            cases += [(n, star), (n, star[::-1])]
+    for n, pairs in cases:
+        assert np.array_equal(_labels(n, pairs), _csgraph_labels(n, pairs)), (n, pairs)
+    # A figure-1 cloud at n = 1e5 (d = 2, theta = 1.4, r = 2.6 n^(-2/3)),
+    # labelled at 2*theta*r and at 2r.
+    box = Density.uniform_box([(-1.0, 1.0), (-1.0, 1.0)])
+    cloud = sample_poisson(1e5, box, stream(0, 0, 0))
+    r = 2.6 * 1e5 ** (-2.0 / 3.0)
+    for scale in (2.0 * 1.4 * r, 2.0 * r):
+        pairs = _tree_pairs(cloud, scale)
+        assert np.array_equal(_labels(len(cloud), pairs), _csgraph_labels(len(cloud), pairs))
 
 
 def test_geometric_graph_monotone_in_radius():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from cechlab.filtration import _build, build_cech_filtration
 from cechlab.geometry import PointCloud, miniball
 from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, _component_complexes,
-                                 betti, betti_oracle, compute_persistence,
+                                 _rank_mod_p, betti, betti_oracle, compute_persistence,
                                  persistent_betti)
 
 
@@ -107,14 +108,93 @@ def test_theta_one_reduces_to_ordinary_betti():
         assert persistent_betti(cloud, r, 1.0, k) == betti(cloud, r, k)
 
 
+def _miniball_values(cloud: PointCloud, top: int) -> list[dict[tuple[int, ...], float]]:
+    """Miniball radius of every q-simplex of the cloud, q = 0..top, one dict per q."""
+    return [{verts: miniball(cloud.points[list(verts)]).radius
+             for verts in combinations(range(len(cloud)), q + 1)} for q in range(top + 1)]
+
+
+def _persistent_rank_oracle(values: list[dict[tuple[int, ...], float]], r: float, s: float,
+                            k: int, p: int) -> int:
+    """Rank of H_k(K_r) -> H_k(K_s) over F_p by dense ranks; no reduction code shared.
+
+    The image is Z_k(K_r) modulo the boundaries of K_s that lie in K_r, so
+    its dimension is dim Z_k(K_r) - rank d_{k+1}(K_s) + the rank of
+    d_{k+1}(K_s) restricted to the rows of the k-simplices outside K_r.
+    """
+
+    def simplices(q: int, radius: float) -> list[tuple[int, ...]]:
+        return [verts for verts, value in values[q].items() if value <= radius] if q >= 0 else []
+
+    def boundary(rows: list[tuple[int, ...]], cols: list[tuple[int, ...]]) -> np.ndarray:
+        row_index = {verts: i for i, verts in enumerate(rows)}
+        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for j, verts in enumerate(cols):
+            for omit in range(len(verts)):
+                face = verts[:omit] + verts[omit + 1:]
+                if face in row_index:
+                    mat[row_index[face], j] = (-1) ** omit
+        return mat
+
+    def rank(mat: np.ndarray) -> int:
+        return _rank_mod_p(mat, p) if mat.size else 0
+
+    inner = simplices(k, r)
+    cycles = len(inner) - rank(boundary(simplices(k - 1, r), inner))
+    outer = simplices(k, s)
+    fill = boundary(outer, simplices(k + 1, s))
+    outside = [i for i, verts in enumerate(outer) if values[k][verts] > r]
+    return cycles - rank(fill) + rank(fill[outside])
+
+
+def test_persistent_betti_agrees_with_rank_oracle():
+    # persistent_betti (the component split, forest skip and batched build)
+    # against dense ranks at theta > 1. Planted pieces make the ranks nonzero:
+    # a regular polygon (a triangle included) whose cycle is born at r, and in
+    # d = 3 a hollow octahedron, whose void lives on [0.816a, a) with a = 1.21r,
+    # and a regular tetrahedron of side a = 1.7r, whose void lives on
+    # [0.577a, 0.612a).
+    rng = np.random.default_rng(89)
+    nonzero = {1: 0, 2: 0}
+    for trial in range(16):
+        d = 2 + trial % 2
+        r = float(rng.uniform(0.08, 0.2))
+        pieces = []
+        if trial % 4 < 2:
+            m = int(rng.integers(3, 7))
+            angles = np.arange(m) * 2.0 * math.pi / m
+            polygon = np.full((m, d), 0.5)
+            polygon[:, :2] += 0.999 * r / math.sin(math.pi / m) * np.column_stack(
+                [np.cos(angles), np.sin(angles)])
+            pieces.append(polygon)
+        elif d == 3:
+            pieces.append(0.75 + 1.21 * r * np.vstack([np.eye(3), -np.eye(3)]))
+            corners = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+            pieces.append(0.15 + 1.7 * r / math.sqrt(8.0) * corners)
+        planted = sum(len(piece) for piece in pieces)
+        pieces.append(rng.random((int(rng.integers(1, 17 - planted)), d)))
+        points = np.vstack(pieces)
+        cloud = PointCloud(d, points + rng.normal(0.0, 1e-3 * r, points.shape))
+        values = _miniball_values(cloud, 3)
+        for theta in (1.0, 1.1, 1.2, 1.4, 2.0):
+            for k in (1, 2):
+                for p in (2, 3):
+                    expected = _persistent_rank_oracle(values, r, theta * r, k, p)
+                    assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == expected, \
+                        (trial, theta, k, p)
+                    nonzero[k] += expected > 0
+    assert nonzero[1] > 20 and nonzero[2] > 4
+
+
 def test_component_split_matches_whole_cloud_reduction():
-    # Above 48 points persistent_betti sums ranks over components of the
-    # graph at 2*theta*r; the reference reduces the whole cloud at once.
-    # A planted octagon (death/birth = 1/sin(pi/8) ~ 2.6) gives every
-    # theta a persistent 1-cycle.
+    # persistent_betti sums ranks over components of the graph at
+    # 2*theta*r, for clouds of every size; the reference reduces the whole
+    # cloud at once. A planted octagon (death/birth = 1/sin(pi/8) ~ 2.6)
+    # gives every theta a persistent 1-cycle, and its 8 points are the
+    # smallest cloud.
     rng = np.random.default_rng(59)
-    for _ in range(8):
-        n = int(rng.integers(49, 251))
+    for low, high in [(49, 251)] * 8 + [(8, 49)] * 8:
+        n = int(rng.integers(low, high))
         d = int(rng.integers(2, 4))
         r = 0.45 * n ** (-1.0 / d)
         angles = np.arange(8) * math.pi / 4.0
@@ -156,11 +236,12 @@ def _planted_pieces(d: int, r: float) -> list[np.ndarray]:
 
 
 def test_forest_components_are_skipped_exactly():
-    # Above 48 points persistent_betti reduces, in degrees k >= 1, only the
-    # components whose graph at 2r has a cycle. Reference: the whole cloud.
+    # In degrees k >= 1 persistent_betti reduces, for clouds of every size,
+    # only the components whose graph at 2r has a cycle. Reference: the
+    # whole cloud. The 19 planted points of d = 3 are the smallest cloud.
     rng = np.random.default_rng(73)
-    for _ in range(6):
-        n = int(rng.integers(49, 251))
+    for low, high in [(49, 251)] * 6 + [(19, 49)] * 6:
+        n = int(rng.integers(low, high))
         d = int(rng.integers(2, 4))
         r = 2.0 ** round(math.log2(0.45 * n ** (-1.0 / d)))
         planted = np.vstack(_planted_pieces(d, r))
@@ -191,13 +272,13 @@ def _assert_components_match_build(cloud: PointCloud, r: float, theta: float, k:
 
 
 def test_batched_component_filtrations_match_build():
-    # Above 48 points the kept components are built in one batched pass (with
-    # triangle radii from geometry._triangle_radii); the reference builds each
-    # one as its own sub-cloud with scalar miniball calls.
+    # The kept components of a cloud of any size are built in one batched pass
+    # (with triangle radii from geometry._triangle_radii); the reference builds
+    # each one as its own sub-cloud with scalar miniball calls.
     rng = np.random.default_rng(83)
     built = 0
-    for _ in range(6):
-        n = int(rng.integers(49, 251))
+    for low, high in [(49, 251)] * 6 + [(1, 49)] * 6:
+        n = int(rng.integers(low, high))
         d = int(rng.integers(2, 4))
         cloud = PointCloud(d, rng.random((n, d)))
         r = 0.4 * n ** (-1.0 / d)

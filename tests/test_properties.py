@@ -163,8 +163,7 @@ def _sep_cases(pts: list, r: float, rng: np.random.Generator) -> list:
 def test_sep_matches_brute_force_isolation():
     rng = np.random.default_rng(23)
     clouds = []
-    # Random clouds on both sides of the 48-point cutoff between the pair
-    # scan and the k-d tree.
+    # Random clouds of 5 to 120 points, in two and three dimensions.
     for n in (5, 12, 30, 48, 49, 80, 120):
         d = 2 + n % 2
         pts = rng.random((n, d))
