@@ -3,9 +3,11 @@
 A property descriptor carries an arity p, a scale r and a locality
 factor C with the guarantee: indicator(Y) = 1 implies diam(Y) <= C*r*p.
 That bound is what makes counting tractable: every qualifying p-subset
-of a cloud is a clique of the geometric graph at scale C*r*p, so the
-counting loops only ever enumerate those cliques. For clouds of at most
-a dozen points this matches exhaustive enumeration exactly (tested).
+of a cloud is a clique of the geometric graph at scale C*r*p, so no
+count evaluates a property outside those cliques. Plain counts enumerate
+the cliques; isolated counts enumerate only the unions of components
+(below) that are cliques. Both match exhaustive enumeration exactly
+(tested).
 
 Scale conventions. Connectivity-flavored properties (`conn`, `comp`)
 look at components of the union of r-balls, so two points interact up
@@ -17,7 +19,8 @@ Every pair test is geometry's closed rule: squared distance <= cutoff^2.
 Isolation (`sep`) is read off the same component layer that splits
 `persistent_betti`: Y is isolated at r (no outside point within 2r,
 closed) exactly when it is a union of connected components of the
-geometric graph at 2r.
+geometric graph at 2r. `subset_count` therefore grows p-point unions of
+components, never the cliques that isolation would reject.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _brute_force_edges, _dist2, ball_volume,
+from .geometry import (PointCloud, _brute_force_edges, _dist2, _tree_pairs, ball_volume,
                        component_labels, geometric_graph)
 from .persistence import FieldSpec, GF2, persistent_betti
 from .sampling import Density, sample_binomial, sample_in_ball, sample_poisson
@@ -216,11 +219,33 @@ class PropertyDescriptor:
 
 @dataclass(frozen=True)
 class ContextIndicator:
-    """Indicator of a subset within its ambient cloud, e.g. isolation."""
+    """Indicator of a subset within its ambient cloud: any subset, or isolation.
+
+    `labels` numbers the components of a cloud's graph, and a subset passes
+    when it is a union of components. Without `labels` (the trivial
+    context) every subset passes.
+    """
 
     name: str
-    make: Callable[[PointCloud], Callable[[Sequence[int]], bool]]
-    trivial: bool = False
+    labels: Callable[[PointCloud], np.ndarray] | None = None
+
+    @property
+    def trivial(self) -> bool:
+        return self.labels is None
+
+    def make(self, cloud: PointCloud) -> Callable[[Sequence[int]], bool]:
+        """Indicator of index subsets of this cloud."""
+        if self.labels is None:
+            return lambda indices: True
+        labels = self.labels(cloud)
+        sizes = np.bincount(labels).tolist()
+        labels = labels.tolist()
+
+        def check(indices: Sequence[int]) -> bool:
+            touched = {labels[i] for i in indices}
+            return sum(sizes[c] for c in touched) == len(indices)
+
+        return check
 
     def __mul__(self, base: PropertyDescriptor) -> "SubsetPropertyDescriptor":
         return SubsetPropertyDescriptor(base=base, context=self)
@@ -249,7 +274,7 @@ class SubsetPropertyDescriptor:
 
 
 def trivial_context() -> ContextIndicator:
-    return ContextIndicator(name="any", make=lambda cloud: lambda indices: True, trivial=True)
+    return ContextIndicator(name="any")
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +355,11 @@ def sep(r: float) -> ContextIndicator:
     Y is isolated exactly when it is a union of connected components of
     the closed geometric graph at 2r, so one labelling of the cloud
     answers every subset: Y passes when the components of its members
-    hold |Y| points in total.
+    hold |Y| points in total, and `subset_count` enumerates the unions
+    themselves.
     """
-
-    def make(cloud: PointCloud) -> Callable[[Sequence[int]], bool]:
-        labels = component_labels(cloud, 2.0 * r)
-        sizes = np.bincount(labels).tolist()
-        labels = labels.tolist()
-
-        def check(indices: Sequence[int]) -> bool:
-            touched = {labels[i] for i in indices}
-            return sum(sizes[c] for c in touched) == len(indices)
-
-        return check
-
-    return ContextIndicator(name=f"sep[{r:g}]", make=make)
+    return ContextIndicator(name=f"sep[{r:g}]",
+                            labels=lambda cloud: component_labels(cloud, 2.0 * r))
 
 
 def comp(r: float, p: int) -> SubsetPropertyDescriptor:
@@ -406,31 +421,75 @@ def _iter_cliques(adjacency_above: Sequence[set[int]], size: int) -> Iterator[tu
         yield from grow((i,), set(adjacency_above[i]))
 
 
-def _clique_candidates(descriptor, cloud: PointCloud) -> Iterator[tuple[int, ...]]:
-    base = descriptor.base if isinstance(descriptor, SubsetPropertyDescriptor) else descriptor
-    graph = geometric_graph(cloud, base.locality_radius())
-    above = [set(nbrs) for nbrs in graph.adjacency_above]
-    yield from _iter_cliques(above, base.arity)
-
-
 def count_property(g: PropertyDescriptor, cloud: PointCloud) -> int:
     """Number of p-subsets satisfying g; locality-pruned, exact."""
     if g.arity > len(cloud):
         return 0
+    graph = geometric_graph(cloud, g.locality_radius())
+    above = [set(nbrs) for nbrs in graph.adjacency_above]
     pts = cloud.points
-    return sum(g(pts[list(idx)]) for idx in _clique_candidates(g, cloud))
+    return sum(g(pts[list(idx)]) for idx in _iter_cliques(above, g.arity))
 
 
 def subset_count(h: SubsetPropertyDescriptor, cloud: PointCloud) -> int:
-    """Number of p-subsets satisfying the base property within its context."""
-    if h.arity > len(cloud):
+    """Number of p-subsets satisfying the base property within its context.
+
+    An isolated subset is a union of components of the context's graph, and
+    a qualifying one is also a clique of the geometric graph at the base's
+    locality radius. So the count keeps the components that can take part in
+    such a union (p points, or fewer and an edge at the locality radius to a
+    component that fits beside them), grows unions of them in ascending label
+    order, drops a branch as soon as a component is not adjacent there to
+    every point already chosen, and evaluates the base on each union of
+    exactly p points, indices ascending. These are the isolated p-cliques,
+    the same sets a clique count would keep.
+    """
+    base, p = h.base, h.arity
+    if h.context.trivial:
+        return count_property(base, cloud)
+    if p > len(cloud):
         return 0
-    ctx = h.context.make(cloud)
+    labels = h.context.labels(cloud)
+    sizes = np.bincount(labels)
+    pairs = _tree_pairs(cloud, base.locality_radius())
+    a, b = labels[pairs[:, 0]], labels[pairs[:, 1]]
+    # A component can join a union of p points when it has p points itself, or
+    # fewer and an edge to another component that fits beside it.
+    joins = (a != b) & (sizes[a] + sizes[b] <= p)
+    usable = sizes == p
+    usable[a[joins]] = True
+    usable[b[joins]] = True
+    points = np.flatnonzero(usable[labels])
+    pieces: dict[int, list[int]] = {}
+    for i, label in zip(points.tolist(), labels[points].tolist()):
+        pieces.setdefault(label, []).append(i)
+    adjacent: dict[int, set[int]] = {i: set() for piece in pieces.values() for i in piece}
+    for i, j in pairs[usable[a] & usable[b]].tolist():
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    # A component that is no clique at the locality radius is dropped; `reach`
+    # holds the kept points adjacent to all of a component.
+    pieces = [piece for _, piece in sorted(pieces.items())
+              if all(len(adjacent[i].intersection(piece)) == len(piece) - 1 for i in piece)]
+    piece_of = {i: c for c, piece in enumerate(pieces) for i in piece}
+    kept = set(piece_of)
+    reach = [set.intersection(*(adjacent[i] for i in piece)) & kept for piece in pieces]
     pts = cloud.points
     total = 0
-    for idx in _clique_candidates(h, cloud):
-        if ctx(idx) and h.base(pts[list(idx)]):
-            total += 1
+
+    def grow(last: int, chosen: list[int], allowed: set[int]) -> None:
+        nonlocal total
+        for c in sorted({piece_of[i] for i in allowed if piece_of[i] > last}):
+            piece = pieces[c]
+            if len(chosen) + len(piece) > p or not allowed.issuperset(piece):
+                continue
+            union = chosen + piece
+            if len(union) == p:
+                total += base(pts[sorted(union)])
+            else:
+                grow(c, union, allowed & reach[c])
+
+    grow(-1, [], kept)
     return total
 
 

@@ -9,15 +9,18 @@ circumcenter. The randomized search estimates the minimal number of
 points that can support such a cycle by brute sampling.
 
 The search scores configurations by their best degree-k death/birth
-ratio. For k = 1, triangles have a closed form, and `_batch_ratios`
+ratio. For k = 1, triangles have a closed form, vectorised
+(`_triangle_persistence_ratios`) and scalar (`_triangle_ratio`, for the
+local refinement) and bit-equal to each other, and `_batch_ratios`
 scores a batch of 4 to 11 points over GF(2) in one vectorised pass:
 edge and triangle values, their filtration order, and a GF(2) reduction
 of the triangle columns as int64 bitmasks over edge ranks. Its ratios
 are bit-equal to the per-configuration `_config_ratio`, which still
-serves the local refinement and the other cases: k >= 2 (more than
-triangle columns), other fields (from 6 points on, a complex can hold a
-triangulated projective plane, whose H_1 depends on the field) and more
-than 11 points (C(11, 2) = 55 edge bits fill an int64).
+serves the local refinement of 4 or more points and the other cases:
+k >= 2 (more than triangle columns), other fields (from 6 points on, a
+complex can hold a triangulated projective plane, whose H_1 depends on
+the field) and more than 11 points (C(11, 2) = 55 edge bits fill an
+int64).
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import PointCloud, _format_cloud, _parse_cloud, _rows_dist2, _triangle_radii
+from .geometry import (PointCloud, _dist2, _format_cloud, _parse_cloud, _rows_dist2,
+                       _triangle_radii)
 from .persistence import FieldSpec, GF2, compute_persistence, persistent_betti
 from .filtration import _build
 from .sampling import sample_in_ball
@@ -291,16 +295,16 @@ def _triangle_persistence_ratios(configs: np.ndarray) -> np.ndarray:
     The cycle of a triangle is born once all edges are present (half the
     longest side) and dies at the miniball radius: the circumradius for
     acute triangles, half the longest side otherwise (ratio 1).
+    `_triangle_ratio` is its scalar twin, bit-equal: both take the squared
+    sides in `_dist2`'s order and apply the same operations in the same order.
     """
-    a2 = np.sum((configs[:, 0] - configs[:, 1]) ** 2, axis=1)
-    b2 = np.sum((configs[:, 0] - configs[:, 2]) ** 2, axis=1)
-    c2 = np.sum((configs[:, 1] - configs[:, 2]) ** 2, axis=1)
-    d2 = np.stack([a2, b2, c2], axis=1)
-    longest2 = d2.max(axis=1)
-    others2 = d2.sum(axis=1) - longest2
-    acute = longest2 < others2
+    a2 = _rows_dist2(configs[:, 0], configs[:, 1])
+    b2 = _rows_dist2(configs[:, 0], configs[:, 2])
+    c2 = _rows_dist2(configs[:, 1], configs[:, 2])
+    longest2 = np.maximum(np.maximum(a2, b2), c2)
+    s2 = a2 + b2 + c2
+    acute = longest2 < s2 - longest2
     # circumradius^2 = a^2 b^2 c^2 / (16 * area^2) via Heron's formula
-    s2 = d2.sum(axis=1)
     area16 = np.maximum(4.0 * (a2 * b2 + b2 * c2 + c2 * a2) - s2 * s2, 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
         circum2 = a2 * b2 * c2 / area16
@@ -308,10 +312,22 @@ def _triangle_persistence_ratios(configs: np.ndarray) -> np.ndarray:
     return np.sqrt(ratio2)
 
 
+def _triangle_ratio(points: np.ndarray) -> float:
+    """`_triangle_persistence_ratios(points[None])[0]` for one (3, d) triangle."""
+    p, q, o = points.tolist()
+    a2, b2, c2 = _dist2(p, q), _dist2(p, o), _dist2(q, o)
+    longest2 = max(a2, b2, c2)
+    s2 = a2 + b2 + c2
+    if not longest2 < s2 - longest2:
+        return 1.0
+    area16 = max(4.0 * (a2 * b2 + b2 * c2 + c2 * a2) - s2 * s2, 1e-300)
+    return math.sqrt(4.0 * (a2 * b2 * c2 / area16) / longest2)
+
+
 def _config_ratio(points: np.ndarray, k: int, field_spec: FieldSpec) -> float:
     """Best death/birth over degree-k intervals; 1.0 when no cycle forms."""
     if k == 1 and points.shape[0] == 3:
-        return float(_triangle_persistence_ratios(points[None])[0])
+        return _triangle_ratio(points)
     interval = _best_interval(points, k, field_spec)
     return 1.0 if interval is None else max(1.0, interval[1] / interval[0])
 
@@ -422,13 +438,14 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
     returned. Finding no witness suggests (but never proves) that p is
     below the minimal cycle arity.
 
-    For k = 1, triangles are scored in closed form, and batches of 4 to 11
-    points over GF(2) in one vectorised diagram pass (`_batch_ratios`),
-    bit-equal to scoring each configuration alone. The refinement and every
-    other case score each configuration through its own persistence diagram
-    (`_config_ratio`): for k >= 2 the complex has more than triangle
-    columns, over other fields a 6-point projective plane has another H_1,
-    and above 11 points the edges do not fit an int64 bitmask.
+    For k = 1, triangles are scored in closed form (one at a time in the
+    refinement), and batches of 4 to 11 points over GF(2) in one vectorised
+    diagram pass (`_batch_ratios`), bit-equal to scoring each configuration
+    alone. The refinement of 4 or more points and every other case score
+    each configuration through its own persistence diagram (`_config_ratio`):
+    for k >= 2 the complex has more than triangle columns, over other fields
+    a 6-point projective plane has another H_1, and above 11 points the
+    edges do not fit an int64 bitmask.
     """
     if d < 1 or k < 1 or p < 1:
         raise ValueError(f"invalid search parameters d={d}, k={k}, p={p}")

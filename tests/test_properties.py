@@ -18,7 +18,7 @@ from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
                                 diagnostic_rows_to_csv, estimate_mu,
                                 iso_graph, palm_check, sep, spread,
                                 subset_count, trivial_context, upsilon, zeta)
-from cechlab.sampling import Density, stream
+from cechlab.sampling import Density, sample_poisson, stream
 
 
 def _square(side: float = 1.0) -> np.ndarray:
@@ -316,6 +316,155 @@ def test_counts_match_exhaustive_enumeration():
             assert count_property(g, cloud) == _brute_count(g, cloud)
         for h in subset:
             assert subset_count(h, cloud) == _brute_subset_count(h, cloud)
+
+
+def _accept_all(r: float, p: int, factor: float) -> PropertyDescriptor:
+    """Accepts every p-set, so a count of it counts the candidates themselves.
+
+    It breaks its own locality promise, which is what lets these tests see
+    whether the count keeps to the cliques at the locality radius.
+    """
+    return PropertyDescriptor("all", p, r, factor, lambda pts: True)
+
+
+def _isolated_clique_count(cloud: PointCloud, r_sep: float | None,
+                           base: PropertyDescriptor) -> int:
+    """p-subsets isolated at r_sep (None: any subset) that are cliques at the
+    base's locality radius and satisfy the base, by exhaustive enumeration."""
+    pts = cloud.points.tolist()
+    half_reach = base.locality_radius() / 2.0
+    total = 0
+    for idx in combinations(range(len(pts)), base.arity):
+        if r_sep is not None and not _isolated_by_brute_force(pts, idx, r_sep):
+            continue
+        if all(_within_2r(pts[i], pts[j], half_reach) for i, j in combinations(idx, 2)):
+            total += base(cloud.points[list(idx)])
+    return total
+
+
+def _component_sizes(cloud: PointCloud, r: float) -> list[int]:
+    pts = cloud.points.tolist()
+    left, sizes = set(range(len(pts))), []
+    while left:
+        piece = _closure(pts, min(left), r)
+        sizes.append(len(piece))
+        left -= piece
+    return sizes
+
+
+def test_isolated_counts_are_the_isolated_locality_cliques():
+    rng = np.random.default_rng(19)
+    cases = []  # (group, cloud, isolation scale, base)
+    # Sparse clouds: nearly every point is its own component at 2r, while
+    # one locality radius spans most of the cloud.
+    for _ in range(10):
+        cloud = PointCloud(2, rng.random((int(rng.integers(8, 15)), 2)))
+        for p in (2, 3, 4):
+            cases += [("sparse", cloud, 0.02, _accept_all(0.1, p, 2.0)),
+                      ("sparse", cloud, 0.02, spread(0.15, p))]
+    # Dyadic lattices: neighbours at exactly 2r and pairs at exactly the
+    # locality radius, with some points duplicated.
+    lattice = np.array([(i, j) for i in range(5) for j in range(5)], dtype=np.float64) / 8.0
+    for _ in range(10):
+        kept = lattice[rng.random(len(lattice)) < 0.45]
+        cloud = PointCloud(2, np.vstack([kept, kept[rng.random(len(kept)) < 0.3]]))
+        for p in (2, 3, 4):
+            cases += [("lattice", cloud, 1.0 / 16.0, _accept_all(1.0 / 16.0, p, 1.0)),
+                      ("lattice", cloud, 1.0 / 16.0, conn(1.0 / 16.0, p))]
+        cases.append(("lattice", cloud, 1.0 / 16.0,
+                      iso_graph(SmallGraph.path(3), 1.0 / 8.0, 3)))
+    # Isolated persistent cycles at the paper's arities, around a planted
+    # square (born at 0.1195 <= 0.12, dies at 0.169 > 1.4 * 0.12) or
+    # equilateral triangle (born at 0.095, dies at 0.1097 > 0.1). No
+    # 3-point cycle lives from r to 1.2 r.
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]) * 0.239
+    triangle = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)]) * 0.19
+    for m, theta, r, planted in ((4, 1.4, 0.12, square), (3, 1.0, 0.1, triangle),
+                                 (3, 1.2, 0.1, triangle)):
+        for _ in range(12):
+            extra = rng.random((int(rng.integers(3, 9)), 2)) * 3.0
+            cloud = PointCloud(2, np.vstack([planted + rng.random(2), extra]))
+            cases.append((f"upsilon m={m} theta={theta}", cloud, theta * r,
+                          zeta(r, m, theta, 1)))
+    # Three dimensions.
+    for _ in range(10):
+        cloud = PointCloud(3, rng.random((int(rng.integers(6, 13)), 3)))
+        for p in (2, 3):
+            cases += [("d=3", cloud, 0.1, _accept_all(0.15, p, 2.0)),
+                      ("d=3", cloud, 0.15, conn(0.15, p))]
+        cases.append(("d=3", cloud, 0.25, zeta(0.25, 3, 1.0, 1)))
+    # p = 1: isolated points.
+    for _ in range(10):
+        cloud = PointCloud(2, rng.random((int(rng.integers(2, 12)), 2)))
+        cases += [("p=1", cloud, 0.1, _accept_all(0.1, 1, 1.0)),
+                  ("p=1", cloud, 0.1, conn(0.1, 1))]
+    # p above every component's size: only unions of components qualify.
+    cells = np.array([(i, j) for i in range(4) for j in range(4)], dtype=np.float64) * 0.15
+    for _ in range(10):
+        pairs = cells[rng.choice(len(cells), 5, replace=False)][:, None]
+        pts = np.concatenate([pairs, pairs + [0.05, 0.0]], axis=1).reshape(-1, 2)
+        cloud = PointCloud(2, pts)
+        assert max(_component_sizes(cloud, 0.03)) <= 2
+        for p in (3, 4, 5):
+            cases.append(("unions", cloud, 0.03, _accept_all(0.1, p, 2.0)))
+
+    positive = {}
+    for group, cloud, r_sep, base in cases:
+        expected = _isolated_clique_count(cloud, r_sep, base)
+        assert subset_count(sep(r_sep) * base, cloud) == expected, (group, base.name)
+        positive[group] = positive.get(group, 0) + (expected > 0)
+    assert positive.pop("upsilon m=3 theta=1.2") == 0
+    assert all(positive.values()), positive
+    # The trivial context counts the same cliques as count_property.
+    for _, cloud, _, base in cases[::5]:
+        expected = _isolated_clique_count(cloud, None, base)
+        assert subset_count(trivial_context() * base, cloud) == expected
+        assert count_property(base, cloud) == expected
+
+
+def _clique_loop_count(h, cloud: PointCloud) -> int:
+    """`subset_count` as a clique loop: every p-clique of the graph at the
+    locality radius, grown through common neighbourhoods, then isolation."""
+    if h.arity > len(cloud):
+        return 0
+    ctx = h.context.make(cloud)
+    graph = geometric_graph(cloud, h.base.locality_radius())
+    above = [set(nbrs) for nbrs in graph.adjacency_above]
+    total = 0
+
+    def grow(prefix: tuple, common: set) -> None:
+        nonlocal total
+        if len(prefix) == h.arity:
+            total += bool(ctx(prefix) and h.base(cloud.points[list(prefix)]))
+            return
+        for v in sorted(common):
+            grow(prefix + (v,), common & above[v])
+
+    for i in range(len(cloud)):
+        grow((i,), set(above[i]))
+    return total
+
+
+@pytest.mark.parametrize("m, theta, c, n, trials, seed", [
+    (3, 1.0, 0.6, 20.0, 300, 5),
+    (4, 1.4, 0.65, 15.0, 200, 6),
+])
+def test_isolated_counts_match_the_clique_loop_on_criterion_6_clouds(m, theta, c, n,
+                                                                   trials, seed):
+    square = Density.unit_cube(2)
+    r = c * n ** -0.6
+    h = upsilon(r, m, theta, 1)
+    # Isolated 4-cycles at theta = 1.4 are rare (none in criterion 6's 1500
+    # clouds), so the candidates themselves are compared too.
+    candidates = sep(theta * r) * _accept_all(r, m, 2.0 * theta)
+    found = [0, 0]
+    for t in range(trials):
+        cloud = sample_poisson(n, square, stream(seed, 0, t))
+        for i, counted in enumerate((h, candidates)):
+            count = subset_count(counted, cloud)
+            assert count == _clique_loop_count(counted, cloud), (t, counted.name)
+            found[i] += count
+    assert found[1] > 0 and (found[0] > 0 or m == 4), found
 
 
 def test_count_on_undersized_cloud_is_zero():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cechlab.persistence import GF2, compute_persistence
 from cechlab.sampling import stream
 from cechlab.witness import (CycleWitness, MBracket, _batch_ratios,
                              _config_ratio, _highest_bit,
-                             _triangle_persistence_ratios,
+                             _triangle_persistence_ratios, _triangle_ratio,
                              _witness_from_config, bracket_m,
                              construct_witness, perturb_and_verify,
                              perturbation_radius, search_m,
@@ -186,21 +187,26 @@ def test_refinement_finds_the_four_point_witness():
 
 
 def _scalar_search(d: int, k: int, theta: float, p: int, trials: int,
-                   rng: np.random.Generator) -> CycleWitness | None:
-    """`search_m`'s batch loop with every configuration scored by `_config_ratio` alone."""
+                   rng: np.random.Generator, score=None) -> CycleWitness | None:
+    """`search_m`'s batch loop with every configuration scored alone, by
+    `_config_ratio` unless another `score(points)` is given."""
     from scipy.optimize import minimize
+
+    if score is None:
+        def score(points: np.ndarray) -> float:
+            return _config_ratio(points, k, GF2)
 
     done = 0
     while done < trials:
         count = min(4096, trials - done)
         configs = rng.random((count, p, d))
-        ratios = np.array([_config_ratio(config, k, GF2) for config in configs])
+        ratios = np.array([score(config) for config in configs])
         for i in np.flatnonzero(ratios > theta):
             witness = _witness_from_config(configs[i], d, k, theta, GF2)
             if witness is not None:
                 return witness
         start = configs[int(ratios.argmax())].reshape(-1)
-        result = minimize(lambda x: -_config_ratio(x.reshape(p, d), k, GF2),
+        result = minimize(lambda x: -score(x.reshape(p, d)),
                           start, method="Nelder-Mead",
                           options={"maxfev": 400, "xatol": 1e-4, "fatol": 1e-6})
         if -result.fun > theta:
@@ -320,6 +326,60 @@ def test_triangle_ratio_shortcut_matches_reduction():
     equilateral = np.array([[(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)]])
     assert _triangle_persistence_ratios(equilateral)[0] == pytest.approx(
         2.0 / math.sqrt(3.0), abs=1e-12)
+
+
+def _assert_triangle_ratio_exact(configs: np.ndarray) -> None:
+    vectorised = _triangle_persistence_ratios(configs)
+    scalar = np.array([_triangle_ratio(config) for config in configs])
+    mismatch = np.flatnonzero(scalar != vectorised)
+    assert len(mismatch) == 0, (configs[mismatch[0]].tolist(), scalar[mismatch[0]],
+                                vectorised[mismatch[0]])
+
+
+def test_triangle_ratio_bit_equal_to_vectorised_form():
+    rng = np.random.default_rng(67)
+    for d in range(2, 8):
+        _assert_triangle_ratio_exact(rng.random((100_000, 3, d)))
+    equilateral = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
+    right = np.array([(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)])
+    assert _triangle_ratio(equilateral) == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
+    assert _triangle_ratio(right) == 1.0
+    # Rotated and scaled equilateral and right triangles.
+    turn = rng.uniform(0.0, 2.0 * math.pi, 2000)
+    rotation = np.stack([np.cos(turn), -np.sin(turn), np.sin(turn), np.cos(turn)],
+                        axis=1).reshape(-1, 2, 2)
+    for shape in (equilateral, right):
+        placed = (shape @ rotation.transpose(0, 2, 1)) * rng.uniform(0.01, 100.0, (2000, 1, 1))
+        _assert_triangle_ratio_exact(placed + rng.random((2000, 1, 2)))
+    # Every triple of a dyadic lattice: right triangles whose longest side
+    # ties the other two exactly, and collinear triples.
+    lattice = np.array([(i, j) for i in range(4) for j in range(4)], dtype=np.float64) / 8.0
+    triples = lattice[np.array(list(combinations(range(len(lattice)), 3)))]
+    _assert_triangle_ratio_exact(triples)
+    legs2 = np.sort(((triples - np.roll(triples, 1, axis=1)) ** 2).sum(axis=2), axis=1)
+    ties = legs2[:, 0] + legs2[:, 1] == legs2[:, 2]
+    assert ties.sum() > 0 and np.all(_triangle_persistence_ratios(triples[ties]) == 1.0)
+    cube = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(3)],
+                    dtype=np.float64) / 4.0
+    _assert_triangle_ratio_exact(cube[rng.integers(0, 27, (2000, 3))])  # with repeats
+    # All points equal, and points exactly on a line.
+    _assert_triangle_ratio_exact(np.full((20, 3, 2), 0.375))
+    t = rng.random((2000, 3, 1))
+    _assert_triangle_ratio_exact(np.concatenate([t, 2.0 * t], axis=2))
+    _assert_triangle_ratio_exact(np.concatenate([t, 2.0 * t, -4.0 * t], axis=2))
+
+
+def test_three_point_search_returns_the_vectorised_witness():
+    # Criterion 7's 3-point search, with the refinement scoring each triangle
+    # through the vectorised form as a batch of one.
+    witness = search_m(2, 1, 1.0, 3, 10_000, stream(7))
+    replay = _scalar_search(2, 1, 1.0, 3, 10_000, stream(7),
+                            lambda points: float(_triangle_persistence_ratios(points[None])[0]))
+    assert witness is not None and replay is not None
+    assert witness.points.points.tobytes() == replay.points.points.tobytes()
+    assert (witness.r, witness.R, witness.verified_rank) == (replay.r, replay.R,
+                                                             replay.verified_rank)
+    assert witness.r == 0.5083865811071288
 
 
 def test_upper_bound_constant_values():
