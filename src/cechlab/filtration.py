@@ -8,11 +8,12 @@ simplex with miniball radius <= r_max has all pairwise distances
 <= 2*r_max.
 
 `_build` grows one cloud's complex with a scalar `miniball` call per
-candidate simplex. `_component_filtrations` builds the complexes of many
-components of a cloud in one batched numpy pass: edges and
-triangles are enumerated as arrays from the cloud's neighbour pairs, and
-triangle radii come from `geometry._triangle_radii`, which is bit-equal
-to `miniball`. Each of its complexes equals `_build` of that component.
+candidate simplex. `_component_filtrations` builds the simplices of many
+components of a cloud in one batched numpy pass: edges and triangles are
+enumerated as arrays from the cloud's neighbour pairs, and triangle
+radii come from `geometry._triangle_radii`, which is bit-equal to
+`miniball`. It returns arrays of vertices and values per dimension; the
+simplices of each component are those of `_build` of that component.
 """
 from __future__ import annotations
 
@@ -139,24 +140,20 @@ def _cofaces(pts: Sequence[Sequence[float]], above: Mapping[int, set[int]] | Seq
 
 def _component_filtrations(points: np.ndarray, pairs: np.ndarray, labels: np.ndarray,
                            keep: np.ndarray, r_max: float,
-                           max_dim: int) -> list[tuple[np.ndarray, FilteredComplex]]:
-    """Filtrations of the kept components of a cloud, built in one batched pass.
+                           max_dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Simplices of the kept components of a cloud, built in one batched pass.
 
     `pairs` holds the cloud's pairs i < j at distance <= 2*r_max, `labels`
     the connected components of that graph and `keep` a mask over labels.
-    Returns (members, complex) for each kept component in ascending label
-    order. The complex equals `_build` of the members, taken as a sub-cloud
-    in ascending index order: edges pass the same closed test on the same
-    squared distance, triangle radii are bit-equal to `miniball`'s
-    (`_triangle_radii`), higher simplices grow through the same `_cofaces`,
-    and local indices keep the order of the global ones.
+    Returns, for q = 0..max_dim, the q-simplices of all kept components as
+    rows of ascending global vertex indices, and their values, in no fixed
+    order. The simplices of one component, with their values, are those of
+    `_build` of its members taken as a sub-cloud in ascending index order:
+    edges pass the same closed test on the same squared distance, triangle
+    radii are bit-equal to `miniball`'s (`_triangle_radii`), and higher
+    simplices grow through the same `_cofaces`.
     """
     kept = np.flatnonzero(keep[labels])  # ascending
-    by_label = kept[np.argsort(labels[kept], kind="stable")]
-    sizes = np.bincount(labels[kept], minlength=len(keep))
-    starts = np.cumsum(sizes) - sizes
-    local = np.zeros(len(points), dtype=np.intp)
-    local[by_label] = np.arange(len(kept)) - starts[labels[by_label]]
     parts = [(kept[:, None], np.zeros(len(kept)))]  # (vertices, values) per dimension
     if max_dim >= 1:
         edges = pairs[keep[labels[pairs[:, 0]]]]
@@ -167,7 +164,7 @@ def _component_filtrations(points: np.ndarray, pairs: np.ndarray, labels: np.nda
         parts.append((edges, 0.5 * np.sqrt(d2[inside])))
     if max_dim >= 2:
         parts.append(_triangles(points, edges, parts[1][1], r_max))
-    if max_dim >= 3 and len(parts[2][0]):
+    if max_dim >= 3:
         above: dict[int, set[int]] = defaultdict(set)
         for i, j in edges.tolist():
             above[i].add(j)
@@ -177,31 +174,7 @@ def _component_filtrations(points: np.ndarray, pairs: np.ndarray, labels: np.nda
             of_q = [sv for sv in grown if len(sv[0]) == q + 1]
             parts.append((np.array([verts for verts, _ in of_q], dtype=np.intp).reshape(-1, q + 1),
                           np.array([value for _, value in of_q])))
-
-    # One sort over all simplices by (component, value, dimension, vertices).
-    items: list[tuple[tuple[int, ...], float]] = []
-    columns = np.full((sum(len(v) for v, _ in parts), max_dim + 1), -1, dtype=np.intp)
-    row = 0
-    for verts, values in parts:
-        loc = local[verts]
-        items.extend(zip(map(tuple, loc.tolist()), values.tolist()))
-        columns[row:row + len(loc), :loc.shape[1]] = loc
-        row += len(loc)
-    component = np.concatenate([labels[verts[:, 0]] for verts, _ in parts])
-    value = np.concatenate([values for _, values in parts])
-    dim = np.concatenate([np.full(len(verts), verts.shape[1]) for verts, _ in parts])
-    order = np.lexsort(tuple(columns[:, c] for c in range(max_dim, -1, -1))
-                       + (dim, value, component))
-    ordered = [items[i] for i in order.tolist()]
-    counts = np.bincount(component, minlength=len(keep))
-    firsts = np.cumsum(counts) - counts
-    out = []
-    for label in np.flatnonzero(keep).tolist():
-        simplices = tuple(ordered[firsts[label]:firsts[label] + counts[label]])
-        out.append((by_label[starts[label]:starts[label] + sizes[label]],
-                    FilteredComplex(vertex_count=int(sizes[label]), max_dim=max_dim,
-                                    simplices=simplices)))
-    return out
+    return parts
 
 
 # Candidate triangles `_triangles` may enumerate at once; each takes at least

@@ -22,16 +22,31 @@ smallest k-cycle) and a cycle in the graph at 2r: that graph holds the
 r is that forest (a triangle would need a cycle), with no homology above
 degree 0. So in degrees k >= 1 only components of k+2 or more points
 whose graph at 2r has a cycle (edges - vertices + components > 0) are
-built and reduced. In the subcritical regime almost every component is
-a tiny tree: at n = 1e5 a figure-1 cloud has about 8.8k components of 3
-or more points, and about 1.6k of them have a cycle at 2r. The kept
-components are built together in one batched pass over the pairs that
-the labelling found (`filtration._component_filtrations`), with triangle
-radii bit-equal to `miniball`'s, and each is reduced on its own. Each
-complex equals the one built from its component as a sub-cloud in
-ascending index order, so the filtration order and the pairings are
-those of a whole-cloud run and the result is identical. Clouds of every
-size take this path; `geometry._labels` labels the components in numpy.
+kept. In the subcritical regime almost every component is a tiny tree:
+at n = 1e5 a figure-1 cloud has about 8.8k components of 3 or more
+points, and about 1.6k of them have a cycle at 2r. The kept components
+are built together in one batched pass over the pairs that the
+labelling found (`filtration._component_filtrations`), with triangle
+radii bit-equal to `miniball`'s; the simplices of each are those built
+from its component as a sub-cloud. Clouds of every size take this path;
+`geometry._labels` labels the components in numpy.
+
+The rank itself is read off those arrays without a diagram. With
+K = Cech_r and L = Cech_{theta*r},
+
+    beta_k = #{k-simplices of K} - rank d_k(K) - dim(B_k(L) & C_k(K)),
+
+since a boundary of L made of simplices of K is a cycle of K. Order the
+rows of d_{k+1}(L) by value: after column reduction the pivots in the
+rows of value <= r number the rank of that row block, which is the last
+term, whatever the order of the columns and of rows at equal value. One
+pass reduces the (k+1)-columns of all kept components together, rows
+numbered by component and then value, so the components never mix. For
+k <= 1, rank d_k(K) is vertices minus components of K's 1-skeleton;
+above, it is the pivot count of a second pass over K's k-columns that
+skips the k-simplices that are pivots of the first (clearing: such a
+column is a sum of columns before it in the same row order).
+`compute_persistence` stays the diagram API.
 """
 from __future__ import annotations
 
@@ -127,50 +142,39 @@ class PersistenceDiagram:
         return PersistenceDiagram(tuple(rows), field_spec)
 
 
-def _reduce_gf2(columns: dict[int, int], order: list[int],
-                pairs: dict[int, int], cleared: set[int]) -> None:
-    """Reduce GF(2) columns (bitmask ints) in filtration order."""
-    pivot_col: dict[int, int] = {}
-    for idx in order:
-        if idx in cleared:
-            continue
-        col = columns[idx]
-        while col:
-            low = col.bit_length() - 1
-            pivot = pivot_col.get(low)
-            if pivot is None:
-                pivot_col[low] = col
-                pairs[low] = idx
-                cleared.add(low)
-                break
-            col ^= pivot
-        columns[idx] = col
+def _reduce_gf2(col: int, pivots: dict[int, int], base: int = 0) -> int | None:
+    """Reduce a GF(2) column against `pivots` and record it; return its pivot row.
+
+    The column is a bitmask whose bit i stands for row base + i; `pivots`
+    maps a pivot row to its reduced column. Returns None if the column
+    reduces to zero.
+    """
+    while col:
+        low = base + col.bit_length() - 1
+        pivot = pivots.get(low)
+        if pivot is None:
+            pivots[low] = col
+            return low
+        col ^= pivot
+    return None
 
 
-def _reduce_gfp(columns: dict[int, dict[int, int]], order: list[int], p: int,
-                pairs: dict[int, int], cleared: set[int]) -> None:
-    """Reduce F_p columns (row -> coefficient dicts) in filtration order."""
-    pivot_col: dict[int, dict[int, int]] = {}
-    for idx in order:
-        if idx in cleared:
-            continue
-        col = columns[idx]
-        while col:
-            low = max(col)
-            pivot = pivot_col.get(low)
-            if pivot is None:
-                pivot_col[low] = col
-                pairs[low] = idx
-                cleared.add(low)
-                break
-            factor = (col[low] * pow(pivot[low], p - 2, p)) % p
-            for row, coeff in pivot.items():
-                new = (col.get(row, 0) - factor * coeff) % p
-                if new:
-                    col[row] = new
-                else:
-                    col.pop(row, None)
-        columns[idx] = col
+def _reduce_gfp(col: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> int | None:
+    """`_reduce_gf2` over F_p, for a column given as a row -> coefficient dict."""
+    while col:
+        low = max(col)
+        pivot = pivots.get(low)
+        if pivot is None:
+            pivots[low] = col
+            return low
+        factor = (col[low] * pow(pivot[low], p - 2, p)) % p
+        for row, coeff in pivot.items():
+            new = (col.get(row, 0) - factor * coeff) % p
+            if new:
+                col[row] = new
+            else:
+                col.pop(row, None)
+    return None
 
 
 def compute_persistence(complex_: FilteredComplex,
@@ -190,30 +194,23 @@ def compute_persistence(complex_: FilteredComplex,
     cleared: set[int] = set()
     top = max(by_dim) if by_dim else 0
     for q in range(top, 0, -1):
-        order = by_dim.get(q, [])
-        if p == 2:
-            columns: dict[int, int] = {}
-            for idx in order:
-                if idx in cleared:
-                    continue
-                verts = simplices[idx][0]
+        pivots: dict = {}
+        for idx in by_dim.get(q, []):
+            if idx in cleared:
+                continue
+            verts = simplices[idx][0]
+            rows = [index_of[verts[:omit] + verts[omit + 1:]] for omit in range(len(verts))]
+            if p == 2:
                 col = 0
-                for omit in range(len(verts)):
-                    col |= 1 << index_of[verts[:omit] + verts[omit + 1:]]
-                columns[idx] = col
-            _reduce_gf2(columns, order, pairs, cleared)
-        else:
-            columns_p: dict[int, dict[int, int]] = {}
-            for idx in order:
-                if idx in cleared:
-                    continue
-                verts = simplices[idx][0]
-                col = {}
-                for omit in range(len(verts)):
-                    row = index_of[verts[:omit] + verts[omit + 1:]]
-                    col[row] = (-1) ** omit % p
-                columns_p[idx] = col
-            _reduce_gfp(columns_p, order, p, pairs, cleared)
+                for row in rows:
+                    col |= 1 << row
+                low = _reduce_gf2(col, pivots)
+            else:
+                low = _reduce_gfp({row: (-1) ** omit % p for omit, row in enumerate(rows)},
+                                  pivots, p)
+            if low is not None:
+                pairs[low] = idx
+                cleared.add(low)
 
     death_cols = set(pairs.values())
     intervals: list[tuple[int, float, float]] = []
@@ -238,12 +235,14 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
                      field_spec: FieldSpec = GF2) -> int:
     """Rank of the map induced in degree-k homology by Cech_r -> Cech_{theta*r}.
 
-    Counts intervals with birth <= r and death > theta*r; theta = 1
-    recovers the ordinary Betti number. Computed as a sum over the
+    Counts the classes born by r that are still alive at theta*r; theta = 1
+    recovers the ordinary Betti number. The rank is
+    dim Z_k(K_r) - dim(Z_k(K_r) & B_k(K_{theta*r})), summed over the
     connected components of the geometric graph at 2*theta*r; for k >= 1
-    only components whose graph at 2r has a cycle are reduced (see the
-    module docstring). Their filtrations are built in one batched pass,
-    with triangle radii bit-equal to `miniball`'s.
+    only components whose graph at 2r has a cycle are kept. Their simplices
+    are built in one batched pass, and one reduction of the (k+1)-columns of
+    all of them gives the second term (see the module docstring). No
+    persistence diagram is built; `compute_persistence` gives those.
     """
     if r < 0.0 or not math.isfinite(r):
         raise ValueError(f"radius must be a finite nonnegative real, got {r}")
@@ -253,20 +252,34 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
         raise ValueError(f"homology degree must be nonnegative, got {k}")
     if len(cloud) == 0:
         return 0
-    r_outer = theta * r
-    lone, components = _component_complexes(cloud, r, r_outer, k)
-    return lone + sum(compute_persistence(complex_, field_spec).rank(k, r, r_outer)
-                      for _, complex_ in components)
+    lone, labels, simplices = _component_complexes(cloud, r, theta * r, k)
+    if not simplices:
+        return lone
+    vertices = simplices[0][0][:, 0]
+    if k == 0:  # every class is born at 0 and survives in its component at theta*r
+        return lone + len(np.unique(labels[vertices]))
+    inner = simplices[k][1] <= r
+    born = int(np.count_nonzero(inner))
+    lows = _pivot_rows(simplices, k + 1, labels, field_spec.characteristic)
+    filled = int(np.count_nonzero(inner[lows]))
+    if k == 1:
+        local = np.searchsorted(vertices, simplices[1][0][inner])
+        boundaries = len(vertices) - int(_labels(len(vertices), local).max()) - 1
+    else:
+        inner[lows] = False  # cleared: a pivot row's own column reduces to zero
+        boundaries = len(_pivot_rows(simplices, k, labels, field_spec.characteristic, inner))
+    return born - boundaries - filled
 
 
-def _component_complexes(cloud: PointCloud, r: float, r_outer: float,
-                         k: int) -> tuple[int, list[tuple[np.ndarray, FilteredComplex]]]:
+def _component_complexes(cloud: PointCloud, r: float, r_outer: float, k: int
+                         ) -> tuple[int, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The split behind `persistent_betti`, for clouds of every size.
 
     Returns the number of lone points (their classes, counted only for
-    k = 0) and (members, filtration up to dimension k+1) for every component
-    that is reduced, all built in one batched pass, which is skipped when no
-    component is kept.
+    k = 0), the component labels of the graph at 2*r_outer, and the
+    simplices up to dimension k+1 of every kept component with their values,
+    per dimension (`filtration._component_filtrations`). The batched build
+    is skipped, and the list is empty, when no component is kept.
     """
     pairs = _tree_pairs(cloud, 2.0 * r_outer)
     labels = _labels(len(cloud), pairs)
@@ -285,8 +298,73 @@ def _component_complexes(cloud: PointCloud, r: float, r_outer: float,
                   + np.bincount(outer_of, minlength=len(sizes)))
         keep &= cycles > 0
     if not keep.any():
-        return lone, []
-    return lone, _component_filtrations(cloud.points, pairs, labels, keep, r_outer, k + 1)
+        return lone, labels, []
+    return lone, labels, _component_filtrations(cloud.points, pairs, labels, keep, r_outer, k + 1)
+
+
+def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: np.ndarray,
+                p: int, columns: np.ndarray | None = None) -> np.ndarray:
+    """Pivot rows of the reduced boundary matrix of the q-simplices over F_p.
+
+    `simplices` holds (vertices, values) per dimension for disjoint
+    components (`labels` of their vertices); `columns` selects q-simplices
+    (all by default), reduced in one pass, in any order. Rows are the
+    (q-1)-simplices ordered by component and, within one, by value, ties in
+    any order: so the pivots among rows of value <= r number
+    dim(B_{q-1}(K) & C_{q-1}(K_r)). Over F_2 a column is a bitmask over its
+    component's rows; pivots are keyed by global row. Returns the pivot
+    rows as indices into the (q-1)-simplices.
+    """
+    faces, values = simplices[q - 1]
+    component = labels[faces[:, 0]]
+    order = np.lexsort((values, component))
+    row = np.empty(len(order), dtype=np.intp)
+    row[order] = np.arange(len(order))
+    cofaces = simplices[q][0] if columns is None else simplices[q][0][columns]
+    rows = row[_facet_index(simplices, cofaces, len(labels))]
+    pivots: dict = {}
+    if p == 2:
+        sizes = np.bincount(component)
+        base = (np.cumsum(sizes) - sizes)[labels[cofaces[:, 0]]]
+        for local, first in zip((rows - base[:, None]).tolist(), base.tolist()):
+            col = 0
+            for i in local:
+                col |= 1 << i
+            _reduce_gf2(col, pivots, first)
+    else:
+        signs = [(-1) ** omit % p for omit in range(q + 1)]
+        for facets in rows.tolist():
+            _reduce_gfp(dict(zip(facets, signs)), pivots, p)
+    return order[np.fromiter(pivots, dtype=np.intp, count=len(pivots))]
+
+
+def _facet_index(simplices: list[tuple[np.ndarray, np.ndarray]], cofaces: np.ndarray,
+                 n: int) -> np.ndarray:
+    """Index into the (q-1)-simplices of facet j (without vertex j) of each q-simplex."""
+    q = cofaces.shape[1] - 1
+    faces = simplices[q - 1][0]
+    facets = np.concatenate([faces] + [np.delete(cofaces, j, axis=1) for j in range(q + 1)])
+    codes = _codes(simplices, facets, n)
+    by_code = np.argsort(codes[:len(faces)])
+    found = by_code[np.searchsorted(codes[:len(faces)][by_code], codes[len(faces):])]
+    return found.reshape(q + 1, len(cofaces)).T
+
+
+def _codes(simplices: list[tuple[np.ndarray, np.ndarray]], verts: np.ndarray,
+           n: int) -> np.ndarray:
+    """Distinct integer codes of simplices of the complex, as searchsorted keys.
+
+    Rows of `verts` are ascending vertices among n. A vertex is its own
+    code; a simplex of c >= 2 vertices is the code of its first c-1
+    vertices (a face, so in the complex), replaced by its rank among the
+    codes of those faces when c-1 >= 2, times n, plus its last vertex.
+    """
+    code = verts[:, 0].astype(np.int64)
+    for c in range(1, verts.shape[1]):
+        if c >= 2:
+            code = np.searchsorted(np.sort(_codes(simplices, simplices[c - 1][0], n)), code)
+        code = code * n + verts[:, c]
+    return code
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:

@@ -128,12 +128,13 @@ def test_criterion_06_isolated_cycle_audit():
     table_b = lower_bound_audit(spec_b, m=4)
     elapsed = time.perf_counter() - start
     clouds = len(table_a.rows) + len(table_b.rows)
-    nonzero = sum(1 for row in table_a.rows + table_b.rows
-                  if row.isolated_cycles > 0)
+    nonzero_a = sum(1 for row in table_a.rows if row.isolated_cycles > 0)
+    nonzero_b = sum(1 for row in table_b.rows if row.isolated_cycles > 0)
+    nonzero = nonzero_a + nonzero_b
     ok = clouds >= 10_000 and nonzero > 0
     assert _report("6", ok,
                    f"{clouds} clouds audited, zero violations, "
-                   f"{nonzero} with isolated cycles, "
+                   f"{nonzero} with isolated cycles (m=3: {nonzero_a}, m=4: {nonzero_b}), "
                    f"equality fractions {table_a.equality_fraction():.3f}/"
                    f"{table_b.equality_fraction():.3f}, {elapsed:.0f}s")
 

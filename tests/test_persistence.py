@@ -114,6 +114,14 @@ def _miniball_values(cloud: PointCloud, top: int) -> list[dict[tuple[int, ...], 
              for verts in combinations(range(len(cloud)), q + 1)} for q in range(top + 1)]
 
 
+def _build_values(cloud: PointCloud, r_max: float, top: int) -> list[dict[tuple[int, ...], float]]:
+    """Value of every q-simplex of the whole cloud's scalar `_build`, q = 0..top, one dict per q."""
+    values: list[dict[tuple[int, ...], float]] = [{} for _ in range(top + 1)]
+    for verts, value in _build(cloud, r_max, top, force=True).simplices:
+        values[len(verts) - 1][verts] = value
+    return values
+
+
 def _persistent_rank_oracle(values: list[dict[tuple[int, ...], float]], r: float, s: float,
                             k: int, p: int) -> int:
     """Rank of H_k(K_r) -> H_k(K_s) over F_p by dense ranks; no reduction code shared.
@@ -184,6 +192,47 @@ def test_persistent_betti_agrees_with_rank_oracle():
                         (trial, theta, k, p)
                     nonzero[k] += expected > 0
     assert nonzero[1] > 20 and nonzero[2] > 4
+
+    # Exact ties, where the value order of rows does not fix the order of the
+    # reduction. Holed dyadic lattices: edges enter at exactly r, and right
+    # triangles and squares have vertices exactly on the diametral spheres
+    # of their diagonals. Thales pieces: an antipodal pair and two more
+    # points on a circle, on the diametral sphere only up to rounding. At
+    # such ties an edge's value (half its squared-distance root, as the
+    # geometric graph tests it) and its miniball radius may differ in the
+    # last bit, so the dense ranks take the values of the whole cloud's
+    # scalar build.
+    tied = {0: 0, 1: 0, 2: 0}
+    square = np.array([(i, j) for i in range(4) for j in range(4)]) * 0.125
+    cube = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(2)]) * 0.25
+    clouds = []
+    for lattice in (square, cube):
+        spacing = float(lattice[1, -1] - lattice[0, -1])
+        radii = [spacing / 2.0, math.sqrt(2.0) * spacing / 2.0]
+        for _ in range(3):
+            points = lattice[rng.random(len(lattice)) < 0.8][:16]
+            clouds.append((PointCloud(lattice.shape[1], points), radii))
+    for _ in range(4):
+        r = 0.05
+        pieces = []
+        for offset in range(3):
+            angles = np.concatenate([[0.0, math.pi], rng.uniform(0.0, 2.0 * math.pi, 2)])
+            angles += rng.uniform(0.0, math.pi)
+            circle = 0.97 * r * np.column_stack([np.cos(angles), np.sin(angles)])
+            pieces.append(circle + (2.0 + 0.5 * offset, 2.0))
+        pieces.append(rng.random((int(rng.integers(0, 5)), 2)))
+        clouds.append((PointCloud(2, np.vstack(pieces)), [r, 0.97 * r, 0.97 * r / math.sqrt(2.0)]))
+    for cloud, radii in clouds:
+        for r in radii:
+            for theta in (1.0, 1.2, 1.4, 2.0):
+                values = _build_values(cloud, theta * r, 3)
+                for k in (0, 1, 2):
+                    for p in (2, 3):
+                        expected = _persistent_rank_oracle(values, r, theta * r, k, p)
+                        assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == expected, \
+                            (cloud.points.tolist(), r, theta, k, p)
+                        tied[k] += expected > 0
+    assert tied[1] > 20 and tied[2] > 4, tied
 
 
 def test_component_split_matches_whole_cloud_reduction():
@@ -260,15 +309,24 @@ def test_forest_components_are_skipped_exactly():
 
 
 def _assert_components_match_build(cloud: PointCloud, r: float, theta: float, k: int) -> int:
-    """Each batched component filtration equals `_build` of its sub-cloud; returns how many."""
-    _, components = _component_complexes(cloud, r, theta * r, k)
-    for members, complex_ in components:
-        assert list(members) == sorted(members)
-        complex_.validate()
+    """Each kept component's batched simplices equal `_build` of its sub-cloud; returns how many."""
+    _, labels, simplices = _component_complexes(cloud, r, theta * r, k)
+    if not simplices:
+        return 0
+    assert len(simplices) == k + 2
+    kept = simplices[0][0][:, 0]
+    for label in np.unique(labels[kept]).tolist():
+        members = kept[labels[kept] == label]
         sub = PointCloud(cloud.dim, cloud.points[members])
-        assert complex_.vertex_count == len(sub)
-        assert complex_.simplices == _build(sub, theta * r, k + 1, force=True).simplices
-    return len(components)
+        built = _build(sub, theta * r, k + 1, force=True).simplices
+        for q, (verts, values) in enumerate(simplices):
+            assert verts.shape[1] == q + 1
+            mine = labels[verts[:, 0]] == label
+            local = np.searchsorted(members, verts[mine])
+            assert np.array_equal(members[local], verts[mine])
+            assert sorted(zip(map(tuple, local.tolist()), values[mine].tolist())) == \
+                sorted(sv for sv in built if len(sv[0]) == q + 1), (label, q)
+    return len(np.unique(labels[kept]))
 
 
 def test_batched_component_filtrations_match_build():
