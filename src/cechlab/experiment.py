@@ -3,17 +3,27 @@
 Runs the radius law r_n = c * n^q over an n-grid, Poisson cloud by
 Poisson cloud, and fits the growth exponent of the mean persistent
 Betti number against the predicted 1 + (q*d + 1) * (m - 1).
+
+Trials are independent: trial t at grid index i draws from its own
+stream (seed, i, t). `run_experiment` and `lower_bound_audit` split each
+batch of trials over the cores this process may run on, one forked
+process per extra core, and gather the values in trial order, so every
+output is bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import platform
+import signal
+import threading
 from dataclasses import dataclass
 from importlib import metadata
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 import scipy
@@ -22,6 +32,8 @@ from .errors import AuditError, ConfigurationError
 from .persistence import GF2, FieldSpec, persistent_betti
 from .properties import subset_count, upsilon
 from .sampling import Density, sample_poisson, stream
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -153,17 +165,98 @@ def predicted_exponent(d: int, q: float, m: int) -> float:
     return 1.0 + (q * d + 1.0) * (m - 1)
 
 
+def _run_chunk(task: Callable[[int], T], chunk: range) -> list[T] | int:
+    """The chunk's values in order, or the first trial of it whose task raises."""
+    values = []
+    for t in chunk:
+        try:
+            values.append(task(t))
+        except Exception:
+            return t
+    return values
+
+
+def _map_trials(task: Callable[[int], T], trials: range) -> list[T]:
+    """`[task(t) for t in trials]`, with the trials split over the usable cores.
+
+    The trials are cut into w contiguous chunks, w being the number of
+    cores in this process's affinity mask capped by the number of trials.
+    The caller runs the first chunk itself; a forked child runs each other
+    one and pickles its values back through a pipe. While other threads
+    run, w is 1: a fork copies only the calling thread, so a lock another
+    thread holds would stay held in the child. Each trial draws from its
+    own stream, so the values are the serial loop's.
+
+    A child whose trial raises sends back that trial, and the caller runs
+    it again, so the exception raised is the serial loop's: the first in
+    trial order, with its own type and message. Children end in
+    `os._exit` and are reaped before this returns or raises; on an
+    exception they are killed first.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = 1 if threading.active_count() > 1 else min(cores, len(trials))
+    if w <= 1:
+        return [task(t) for t in trials]
+    chunks = [trials[j * len(trials) // w:(j + 1) * len(trials) // w] for j in range(w)]
+    children = []  # (pid, read end of its pipe, its chunk)
+    try:
+        for chunk in chunks[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as out:
+                        pickle.dump(_run_chunk(task, chunk), out)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), chunk))
+        values = [task(t) for t in chunks[0]]
+        for pid, pipe, chunk in children:
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker process {pid} ended without the values "
+                                   f"of trials {chunk[0]}..{chunk[-1]}") from None
+            if isinstance(result, int):
+                task(result)
+                raise RuntimeError(f"trial {result} raised in a worker process "
+                                   f"but not when run again")
+            values += result
+        return values
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def _collect_row(spec: ExperimentSpec, n_index: int) -> ResultRow:
+    """Mean and standard error of the persistent Betti number at one grid point.
+
+    Runs `spec.trials` trials, then, while the relative standard error
+    exceeds `target_rel_se` and the cap allows, adds batches of
+    max(trials, done // 2) more. Each batch is split over the usable
+    cores by `_map_trials`; trial t always draws from the stream
+    (seed, n_index, t), so the row does not depend on the split.
+    """
     n = spec.n_grid[n_index]
     r = spec.radius(n)
     cap = spec.max_trials if spec.max_trials is not None else spec.trials
+
+    def trial(t: int) -> int:
+        cloud = sample_poisson(n, spec.density, stream(spec.seed, n_index, t))
+        return persistent_betti(cloud, r, spec.theta, spec.k, spec.field)
+
     values: list[int] = []
     while True:
         done = len(values)
         target = spec.trials if done == 0 else min(cap, done + max(spec.trials, done // 2))
-        for t in range(done, target):
-            cloud = sample_poisson(n, spec.density, stream(spec.seed, n_index, t))
-            values.append(persistent_betti(cloud, r, spec.theta, spec.k, spec.field))
+        values += _map_trials(trial, range(done, target))
         mean = float(np.mean(values))
         se = 0.0
         if len(values) > 1:
@@ -260,29 +353,37 @@ def lower_bound_audit(spec: ExperimentSpec, m: int,
     Counting m-subsets that are both separated at scale theta*r and
     support a persistent cycle can never exceed the persistent Betti
     number of the whole cloud; a violating cloud is saved to `dump_dir`
-    for repro before the audit aborts.
+    for repro before the audit aborts. The trials of each grid point are
+    split over the usable cores by `_map_trials`, and the audit stops at
+    the first violation or error in trial order, as a serial loop would.
     """
     if spec.k < 1:
         raise ConfigurationError(f"audit needs homology degree k >= 1, got {spec.k}")
     if m < spec.k + 2:
         raise ConfigurationError(
             f"cycle arity m must be at least k+2 = {spec.k + 2}, got {m}")
+    caller = os.getpid()
     rows: list[AuditRow] = []
     for i, n in enumerate(spec.n_grid):
         r = spec.radius(n)
         h = upsilon(r, m, spec.theta, spec.k, spec.field)
-        for t in range(spec.trials):
+
+        def trial(t: int) -> AuditRow:
             cloud = sample_poisson(n, spec.density, stream(spec.seed, i, t))
             count = subset_count(h, cloud)
             rank = persistent_betti(cloud, r, spec.theta, spec.k, spec.field)
             if count > rank:
                 path = Path(dump_dir) / f"audit-violation-n{n:g}-trial{t}.txt"
-                cloud.save(path)
+                # A child's violating trial is run again by the caller, which
+                # saves it; a child saving could leave clouds of later trials.
+                if os.getpid() == caller:
+                    cloud.save(path)
                 raise AuditError(
                     f"isolated-cycle count {count} exceeds persistent Betti {rank} "
                     f"at n={n:g}, trial {t}; offending cloud saved to {path}")
-            rows.append(AuditRow(n=n, trial=t, isolated_cycles=count,
-                                 persistent_betti=rank))
+            return AuditRow(n=n, trial=t, isolated_cycles=count, persistent_betti=rank)
+
+        rows += _map_trials(trial, range(spec.trials))
     return AuditTable(rows=tuple(rows))
 
 

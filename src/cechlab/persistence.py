@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtration import FilteredComplex, _component_filtrations
-from .geometry import PointCloud, _labels, _tree_pairs, miniball
+from .geometry import PointCloud, _dist2, _labels, _tree_pairs, miniball
 
 __all__ = [
     "FieldSpec",
@@ -397,9 +397,12 @@ def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
 def betti_oracle(cloud: PointCloud, r: float, k: int, field_spec: FieldSpec = GF2) -> int:
     """Betti number via dense boundary-matrix ranks; no reduction code shared.
 
-    Enumerates every subset of size k..k+2 directly and computes
+    Enumerates every subset of size 1..k+2 directly and computes
     dim ker - dim im from matrix ranks, so it is only usable for small
-    clouds (at most 16 points).
+    clouds (at most 16 points). The simplices are the filtration's: an
+    edge enters at half the root of its squared length (which can differ
+    from the pair's miniball radius in the last bit), a larger simplex at
+    its miniball radius, and no simplex before its facets.
     """
     n = len(cloud)
     if n > _ORACLE_MAX_POINTS:
@@ -413,18 +416,22 @@ def betti_oracle(cloud: PointCloud, r: float, k: int, field_spec: FieldSpec = GF
     pts = cloud.as_tuples
     p = field_spec.characteristic
 
-    def simplices_of_dim(q: int) -> list[tuple[int, ...]]:
-        if q < 0:
-            return []
-        out = []
+    layers: list[list[tuple[int, ...]]] = []  # the simplices of K_r, by dimension
+    for q in range(k + 2):
+        facets = set(layers[-1]) if layers else set()
+        layer = []
         for verts in combinations(range(n), q + 1):
-            if miniball([pts[v] for v in verts]).radius <= r:
-                out.append(verts)
-        return out
-
-    s_km1 = simplices_of_dim(k - 1)
-    s_k = simplices_of_dim(k)
-    s_kp1 = simplices_of_dim(k + 1)
+            if q == 1:  # the filtration's edge value, not the pair's miniball radius
+                value = 0.5 * math.sqrt(_dist2(pts[verts[0]], pts[verts[1]]))
+            else:
+                value = miniball([pts[v] for v in verts]).radius
+            # As in the filtration, a simplex never enters before its facets.
+            if value <= r and (q == 0 or all(verts[:i] + verts[i + 1:] in facets
+                                             for i in range(q + 1))):
+                layer.append(verts)
+        layers.append(layer)
+    s_km1 = layers[k - 1] if k > 0 else []
+    s_k, s_kp1 = layers[k], layers[k + 1]
     if not s_k:
         return 0
 

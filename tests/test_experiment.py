@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cechlab import cli
+from cechlab import cli, experiment
 from cechlab.errors import AuditError, ConfigurationError
 from cechlab.experiment import (ExperimentSpec, audit_csv, fit_csv,
                                 fit_exponent, lower_bound_audit,
@@ -18,9 +21,10 @@ from cechlab.experiment import (ExperimentSpec, audit_csv, fit_csv,
                                 results_csv, run_experiment, write_manifest)
 from cechlab.geometry import PointCloud
 from cechlab.render import render_balls
-from cechlab.sampling import Density
+from cechlab.sampling import Density, sample_poisson, stream
 
 _UNIT = [(0.0, 1.0), (0.0, 1.0)]
+_FORK = os.fork
 
 
 def _small_spec(**overrides) -> ExperimentSpec:
@@ -146,6 +150,128 @@ def test_audit_guards(tmp_path):
         lower_bound_audit(_small_spec(), m=2, dump_dir=tmp_path)
     with pytest.raises(ConfigurationError):
         lower_bound_audit(_small_spec(k=0), m=3, dump_dir=tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# Trials split over the usable cores
+# ---------------------------------------------------------------------------
+
+
+def _on_cores(monkeypatch, cores: set[int]) -> list[int]:
+    """Pretend the process may run on `cores`; returns the list of forked pids."""
+    forked: list[int] = []
+
+    def counting_fork() -> int:
+        pid = _FORK()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def _outcome(call) -> tuple[str, str]:
+    """(type name, message) of the exception `call()` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value).__name__, str(info.value)
+
+
+def test_split_experiment_is_byte_identical_to_serial(monkeypatch):
+    specs = [_small_spec(k=0, n_grid=(5.0, 10.0, 20.0, 50.0), trials=6),
+             _small_spec(k=0, target_rel_se=0.02, max_trials=40)]  # adaptive batches
+    outputs = {}
+    for cores in ({0}, {0, 1}, {0, 1, 2}):
+        forked = _on_cores(monkeypatch, cores)
+        results = [run_experiment(spec, m=3) for spec in specs]
+        outputs[len(cores)] = [(results_csv(r), fit_csv(r)) for r in results]
+        assert bool(forked) == (len(cores) > 1)
+    assert outputs[1] == outputs[2] == outputs[3]
+    assert [line.split(",")[-1] for line in outputs[1][1][0].splitlines()[1:]] == ["40", "40"]
+    assert "nan" not in outputs[1][0][1]
+
+
+def test_split_audit_is_byte_identical_to_serial(monkeypatch, tmp_path):
+    spec = _small_spec(n_grid=(6.0, 12.0), trials=30, c=0.35)
+    tables = {}
+    for cores in ({0}, {0, 1}):
+        forked = _on_cores(monkeypatch, cores)
+        tables[len(cores)] = audit_csv(lower_bound_audit(spec, m=3, dump_dir=tmp_path))
+        assert bool(forked) == (len(cores) > 1)
+    assert tables[1] == tables[2]
+    assert not list(tmp_path.iterdir())
+
+
+def test_no_fork_while_other_threads_run(monkeypatch):
+    forked = _on_cores(monkeypatch, {0, 1})
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30.0,))
+    waiter.start()
+    try:
+        result = run_experiment(_small_spec())
+    finally:
+        release.set()
+        waiter.join(timeout=30.0)
+    assert not waiter.is_alive()
+    assert forked == []
+    monkeypatch.undo()
+    assert results_csv(result) == results_csv(run_experiment(_small_spec()))
+
+
+@pytest.mark.parametrize("seed, first", [(12, 4), (26, 0)])
+def test_a_raising_trial_raises_as_in_the_serial_loop(monkeypatch, seed, first):
+    # A density that evaluates negative raises ConfigurationError naming the
+    # value at the trial's first proposal, so each trial with a point has its
+    # own message. With 8 trials on 2 cores, seed 12 draws no point in the
+    # caller's chunk (trials 0-3) and a point in each of trials 4-7 (the
+    # child's); seed 26 fails in the caller's chunk while the child runs.
+    density = Density.custom(_UNIT, 1.0, lambda point: -1.0 - float(point[0]))
+    spec = _small_spec(density=density, n_grid=(0.3,), trials=8, seed=seed)
+    counts = [int(stream(seed, 0, t).poisson(0.3)) for t in range(8)]
+    assert min(t for t, count in enumerate(counts) if count) == first
+    assert sum(count > 0 for count in counts[4:]) >= 2
+    outcomes = {}
+    for cores in ({0}, {0, 1}):
+        forked = _on_cores(monkeypatch, cores)
+        outcomes[len(cores)] = _outcome(lambda: run_experiment(spec))
+        assert len(forked) == len(cores) - 1
+    assert outcomes[1] == outcomes[2]
+    assert outcomes[1][0] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("planted", [(5, 7), (3, 5)])
+def test_an_audit_violation_dumps_and_raises_as_serial(monkeypatch, tmp_path, planted):
+    # The planted trials of 8 get an isolated-cycle count above any rank, and
+    # only the first may be reported and saved. On 2 cores, (5, 7) both lie in
+    # the child's chunk; with (3, 5) the caller's trial 3 is slow, so the
+    # child has met trial 5 before the caller raises.
+    spec = _small_spec(n_grid=(12.0,), trials=8, c=0.35)
+    clouds = {sample_poisson(12.0, spec.density, stream(spec.seed, 0, t)).points.tobytes(): t
+              for t in planted}
+
+    def planted_count(h, cloud):
+        t = clouds.get(cloud.points.tobytes())
+        if t == 3:
+            time.sleep(0.3)
+        return 0 if t is None else 99
+
+    monkeypatch.setattr(experiment, "subset_count", planted_count)
+    outcomes = {}
+    for cores in ({0}, {0, 1}):
+        forked = _on_cores(monkeypatch, cores)
+        run_dir = tmp_path / str(len(cores))
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        outcome = _outcome(lambda: lower_bound_audit(spec, m=3, dump_dir="."))
+        dumps = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        outcomes[len(cores)] = outcome, dumps
+        assert len(forked) == len(cores) - 1
+    assert outcomes[1] == outcomes[2]
+    (kind, message), dumps = outcomes[1]
+    assert kind == "AuditError" and f"trial {planted[0]};" in message
+    assert list(dumps) == [f"audit-violation-n12-trial{planted[0]}.txt"]
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,20 @@ def test_edge_value_squares_like_the_geometric_graph():
     assert betti(cloud, r, 0) == betti_oracle(cloud, r, 0) == 1
 
 
+def test_oracle_takes_the_filtration_edge_value_at_a_thales_tie():
+    # An antipodal pair and two more points on a circle of radius r: the
+    # pair's miniball radius is r, half the root of its squared length one
+    # bit above, so the filtration leaves that diagonal out and keeps the
+    # 4-cycle open. An oracle on miniball radii would fill it.
+    cloud = PointCloud.from_points([(1.9704815438420973, 2.0384826031610905),
+                                    (2.029518456157903, 1.9615173968389095),
+                                    (2.0098153138088577, 2.047496416863103),
+                                    (1.9516666781924836, 2.0040174622650464)])
+    r = 0.0485
+    assert miniball(cloud.points[:2]).radius <= r < 0.5 * math.dist(*cloud.points[:2])
+    assert betti(cloud, r, 1) == betti_oracle(cloud, r, 1) == 1
+
+
 def test_persistent_betti_monotone_in_theta():
     rng = np.random.default_rng(47)
     for _ in range(20):
