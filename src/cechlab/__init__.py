@@ -7,8 +7,8 @@ from .experiment import (AuditRow, AuditTable, ExperimentResult, ExperimentSpec,
 from .filtration import FilteredComplex, build_cech_filtration
 from .geometry import (Ball, GeometricGraph, PointCloud, ball_volume,
                        geometric_graph, miniball)
-from .persistence import (GF2, FieldSpec, PersistenceDiagram, betti, betti_oracle,
-                          compute_persistence, persistent_betti)
+from .persistence import (GF2, FieldSpec, PersistenceDiagram, betti, compute_persistence,
+                          persistent_betti, persistent_betti_oracle)
 from .properties import (ContextIndicator, DiagnosticRow, MuEstimate, PalmResult,
                          PropertyDescriptor, SmallGraph, SubsetPropertyDescriptor,
                          comp, component_count, conn, convergence_diagnostic,
@@ -29,11 +29,11 @@ __all__ = [
     "FitSummary", "GF2", "GeometricGraph", "MBracket", "MuEstimate",
     "PalmResult", "PersistenceDiagram", "PointCloud", "PropertyDescriptor",
     "ResultRow", "SmallGraph", "SubsetPropertyDescriptor", "ball_volume",
-    "betti", "betti_oracle", "bracket_m", "build_cech_filtration", "comp",
+    "betti", "bracket_m", "build_cech_filtration", "comp",
     "component_count", "compute_persistence", "conn", "construct_witness",
     "convergence_diagnostic", "count_property", "estimate_mu", "fit_exponent",
     "geometric_graph", "iso_graph", "lower_bound_audit", "miniball",
-    "palm_check", "persistent_betti", "perturb_and_verify",
+    "palm_check", "persistent_betti", "persistent_betti_oracle", "perturb_and_verify",
     "perturbation_radius", "predicted_exponent", "render_balls",
     "run_experiment", "sample_binomial", "sample_in_ball", "sample_poisson",
     "search_m", "sep", "spread", "stream", "subset_count", "trivial_context",

@@ -7,26 +7,25 @@ cliques of the geometric graph at scale 2*r_max, which is exact: any
 simplex with miniball radius <= r_max has all pairwise distances
 <= 2*r_max.
 
-`_build` grows one cloud's complex with a scalar `miniball` call per
-candidate simplex. `_component_filtrations` builds the simplices of many
-components of a cloud in one batched numpy pass: edges and triangles are
-enumerated as arrays from the cloud's neighbour pairs, and triangle
-radii come from `geometry._triangle_radii`, which is bit-equal to
-`miniball`. It returns arrays of vertices and values per dimension; the
-simplices of each component are those of `_build` of that component.
+One builder serves every caller. `_component_filtrations` builds the
+simplices of many components of a cloud in one batched numpy pass: edges
+and triangles are enumerated as arrays from the cloud's neighbour pairs,
+triangle radii come from `geometry._triangle_radii`, which is bit-equal
+to `miniball`, and higher simplices grow through `_cofaces`. It returns
+arrays of vertices and values per dimension. `_build` runs it on a whole
+cloud as one component and sorts the result into a `FilteredComplex`.
 """
 from __future__ import annotations
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _dist2, _rows_dist2, _triangle_radii, geometric_graph,
-                       miniball)
+from .geometry import PointCloud, _rows_dist2, _tree_pairs, _triangle_radii, miniball
 
 __all__ = ["FilteredComplex", "build_cech_filtration"]
 
@@ -80,26 +79,7 @@ class FilteredComplex:
             index[verts] = value
 
 
-def _cech_simplices(cloud: PointCloud, r_max: float,
-                    max_dim: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    pts = cloud.as_tuples
-    n = len(pts)
-    for i in range(n):
-        yield (i,), 0.0
-    if max_dim == 0 or n < 2:
-        return
-    graph = geometric_graph(cloud, 2.0 * r_max)
-    above = [set(nbrs) for nbrs in graph.adjacency_above]
-    values: dict[tuple[int, ...], float] = {}
-    for i, j in graph.edges:
-        value = 0.5 * math.sqrt(_dist2(pts[i], pts[j]))
-        if value <= r_max:
-            values[(i, j)] = value
-            yield (i, j), value
-    yield from _cofaces(pts, above, values, list(values), r_max, max_dim)
-
-
-def _cofaces(pts: Sequence[Sequence[float]], above: Mapping[int, set[int]] | Sequence[set[int]],
+def _cofaces(pts: np.ndarray, above: Mapping[int, set[int]],
              values: dict[tuple[int, ...], float], frontier: list[tuple[int, ...]],
              r_max: float, max_dim: int) -> Iterator[tuple[tuple[int, ...], float]]:
     """Simplices grown from `frontier` one dimension at a time up to `max_dim`.
@@ -148,10 +128,11 @@ def _component_filtrations(points: np.ndarray, pairs: np.ndarray, labels: np.nda
     Returns, for q = 0..max_dim, the q-simplices of all kept components as
     rows of ascending global vertex indices, and their values, in no fixed
     order. The simplices of one component, with their values, are those of
-    `_build` of its members taken as a sub-cloud in ascending index order:
-    edges pass the same closed test on the same squared distance, triangle
-    radii are bit-equal to `miniball`'s (`_triangle_radii`), and higher
-    simplices grow through the same `_cofaces`.
+    the scalar reference builder in `tests/scalar_cech.py` (one `miniball`
+    call per candidate simplex) run on its members taken as a sub-cloud in
+    ascending index order: edges pass the geometric graph's closed test on
+    the same squared distance, and triangle radii are bit-equal to
+    `miniball`'s (`_triangle_radii`).
     """
     kept = np.flatnonzero(keep[labels])  # ascending
     parts = [(kept[:, None], np.zeros(len(kept)))]  # (vertices, values) per dimension
@@ -224,7 +205,10 @@ def build_cech_filtration(cloud: PointCloud, r_max: float, max_dim: int,
 
     Homology in degree k only needs simplices up to dimension k+1, and for
     point clouds in R^d nothing above degree d-1 survives, so caps beyond
-    the ambient dimension are refused unless `force=True`.
+    the ambient dimension are refused unless `force=True`. For max_dim >= 2
+    a cloud too dense at 2*r_max raises ConfigurationError, before its
+    triangles are enumerated, when they would need more than
+    `_MAX_TRIANGLE_CANDIDATES` candidates.
     """
     if not (r_max > 0.0) or not math.isfinite(r_max):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
@@ -233,7 +217,7 @@ def build_cech_filtration(cloud: PointCloud, r_max: float, max_dim: int,
 
 def _build(cloud: PointCloud, r_max: float, max_dim: int, force: bool = False) -> FilteredComplex:
     # Internal entry point that additionally permits r_max == 0 (vertices
-    # plus duplicate-point simplices only), used by Betti queries at r = 0.
+    # plus duplicate-point simplices only).
     if r_max < 0.0 or not math.isfinite(r_max):
         raise ValueError(f"r_max must be nonnegative and finite, got {r_max}")
     if max_dim < 0:
@@ -243,7 +227,11 @@ def _build(cloud: PointCloud, r_max: float, max_dim: int, force: bool = False) -
             f"max_dim={max_dim} exceeds the ambient dimension {cloud.dim}; "
             "degree-k homology needs simplices only up to dimension k+1 <= d. "
             "Pass force=True to build anyway.")
-    simplices = sorted(_cech_simplices(cloud, r_max, max_dim),
+    parts = _component_filtrations(cloud.points, _tree_pairs(cloud, 2.0 * r_max),
+                                   np.zeros(len(cloud), dtype=np.intp), np.array([True]),
+                                   r_max, max_dim)
+    simplices = sorted(((verts, value) for rows, values in parts
+                        for verts, value in zip(map(tuple, rows.tolist()), values.tolist())),
                        key=lambda sv: (sv[1], len(sv[0]), sv[0]))
     return FilteredComplex(vertex_count=len(cloud), max_dim=max_dim,
                            simplices=tuple(simplices))

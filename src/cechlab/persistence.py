@@ -2,9 +2,15 @@
 
 `compute_persistence` runs boundary-matrix column reduction with the
 clearing optimization (dimensions processed top down, so columns known
-to be births are skipped). `betti_oracle` is an independent check that
-never touches the reduction: it rank-computes boundary matrices of the
-full complex by dense Gaussian elimination.
+to be births are skipped). `persistent_betti_oracle` is an independent
+check that never touches the reduction: with K = Cech_r and
+L = Cech_{theta*r} (theta >= 1), it computes by dense Gaussian elimination
+
+    dim Z_k(K) - rank d_{k+1}(L) + rank of d_{k+1}(L) on the rows outside K,
+
+the rank of H_k(K) -> H_k(L): the image is Z_k(K) modulo the boundaries
+of L that lie in K, a space of dimension rank d_{k+1}(L) minus the rank
+of its rows outside K.
 
 Rank queries follow the closed convention: a class with interval
 [birth, death) is alive at r iff birth <= r < death, so a death at
@@ -68,7 +74,7 @@ __all__ = [
     "compute_persistence",
     "betti",
     "persistent_betti",
-    "betti_oracle",
+    "persistent_betti_oracle",
 ]
 
 _ORACLE_MAX_POINTS = 16
@@ -394,49 +400,51 @@ def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
-def betti_oracle(cloud: PointCloud, r: float, k: int, field_spec: FieldSpec = GF2) -> int:
-    """Betti number via dense boundary-matrix ranks; no reduction code shared.
+def persistent_betti_oracle(cloud: PointCloud, r: float, theta: float, k: int,
+                            field_spec: FieldSpec = GF2) -> int:
+    """`persistent_betti` by dense boundary-matrix ranks; no reduction code shared.
 
-    Enumerates every subset of size 1..k+2 directly and computes
-    dim ker - dim im from matrix ranks, so it is only usable for small
-    clouds (at most 16 points). The simplices are the filtration's: an
-    edge enters at half the root of its squared length (which can differ
-    from the pair's miniball radius in the last bit), a larger simplex at
-    its miniball radius, and no simplex before its facets.
+    Values every subset of 1..k+2 points by the filtration's rules (an edge
+    at half the root of its squared length, which can differ from the
+    pair's miniball radius in the last bit; a larger simplex at the largest
+    of its miniball radius and its facets' values, and absent when a facet
+    is absent from Cech_{theta*r}) and computes the rank by
+    the module docstring's dense formula, so it is only usable for small
+    clouds (at most 16 points). theta = 1 gives the Betti number.
     """
     n = len(cloud)
     if n > _ORACLE_MAX_POINTS:
         raise ValueError(f"oracle limited to {_ORACLE_MAX_POINTS} points, got {n}")
     if r < 0.0 or not math.isfinite(r):
         raise ValueError(f"radius must be a finite nonnegative real, got {r}")
+    if theta < 1.0 or not math.isfinite(theta):
+        raise ValueError(f"persistence factor must satisfy theta >= 1, got {theta}")
     if k < 0:
         raise ValueError(f"homology degree must be nonnegative, got {k}")
-    if n == 0:
-        return 0
+    s = theta * r
     pts = cloud.as_tuples
-    p = field_spec.characteristic
-
-    layers: list[list[tuple[int, ...]]] = []  # the simplices of K_r, by dimension
+    values: list[dict[tuple[int, ...], float]] = []  # the q-simplices of K_s, q = 0..k+1
     for q in range(k + 2):
-        facets = set(layers[-1]) if layers else set()
-        layer = []
+        layer = {}
         for verts in combinations(range(n), q + 1):
-            if q == 1:  # the filtration's edge value, not the pair's miniball radius
+            if q == 0:
+                value = 0.0
+            elif q == 1:
                 value = 0.5 * math.sqrt(_dist2(pts[verts[0]], pts[verts[1]]))
             else:
-                value = miniball([pts[v] for v in verts]).radius
-            # As in the filtration, a simplex never enters before its facets.
-            if value <= r and (q == 0 or all(verts[:i] + verts[i + 1:] in facets
-                                             for i in range(q + 1))):
-                layer.append(verts)
-        layers.append(layer)
-    s_km1 = layers[k - 1] if k > 0 else []
-    s_k, s_kp1 = layers[k], layers[k + 1]
-    if not s_k:
-        return 0
+                facets = [verts[:i] + verts[i + 1:] for i in range(q + 1)]
+                if any(facet not in values[-1] for facet in facets):
+                    continue  # a facet is absent, so the simplex is too
+                value = max([miniball([pts[v] for v in verts]).radius]
+                            + [values[-1][facet] for facet in facets])
+            if value <= s:
+                layer[verts] = value
+        values.append(layer)
 
-    def boundary_matrix(rows: list[tuple[int, ...]],
-                        cols: list[tuple[int, ...]]) -> np.ndarray:
+    def simplices(q: int, radius: float) -> list[tuple[int, ...]]:
+        return [verts for verts, value in values[q].items() if value <= radius] if q >= 0 else []
+
+    def boundary(rows: list[tuple[int, ...]], cols: list[tuple[int, ...]]) -> np.ndarray:
         row_index = {verts: i for i, verts in enumerate(rows)}
         mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
         for j, verts in enumerate(cols):
@@ -446,10 +454,10 @@ def betti_oracle(cloud: PointCloud, r: float, k: int, field_spec: FieldSpec = GF
                     mat[row_index[face], j] = (-1) ** omit
         return mat
 
-    rank_dk = 0
-    if s_km1 and k > 0:
-        rank_dk = _rank_mod_p(boundary_matrix(s_km1, s_k), p)
-    rank_dk1 = 0
-    if s_kp1:
-        rank_dk1 = _rank_mod_p(boundary_matrix(s_k, s_kp1), p)
-    return len(s_k) - rank_dk - rank_dk1
+    p = field_spec.characteristic
+    inner = simplices(k, r)
+    cycles = len(inner) - _rank_mod_p(boundary(simplices(k - 1, r), inner), p)
+    outer = simplices(k, s)
+    fill = boundary(outer, simplices(k + 1, s))
+    outside = np.array([values[k][verts] > r for verts in outer], dtype=bool)
+    return cycles - _rank_mod_p(fill, p) + _rank_mod_p(fill[outside], p)

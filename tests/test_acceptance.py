@@ -16,8 +16,8 @@ import numpy as np
 from cechlab.experiment import ExperimentSpec, lower_bound_audit, run_experiment
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
-from cechlab.persistence import (betti, betti_oracle, compute_persistence,
-                                 persistent_betti)
+from cechlab.persistence import (betti, compute_persistence, persistent_betti,
+                                 persistent_betti_oracle)
 from cechlab.properties import (SmallGraph, convergence_diagnostic,
                                 estimate_mu, iso_graph, palm_check,
                                 PropertyDescriptor, sep, trivial_context)
@@ -47,7 +47,7 @@ def test_criterion_01_betti_matches_oracle():
         for r in rng.uniform(0.05, 0.75, size=5):
             for k in (0, 1, 2):
                 comparisons += 1
-                if betti(cloud, float(r), k) != betti_oracle(cloud, float(r), k):
+                if betti(cloud, float(r), k) != persistent_betti_oracle(cloud, float(r), 1.0, k):
                     mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and clouds >= 200 and elapsed < 60.0

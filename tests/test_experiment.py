@@ -20,8 +20,10 @@ from cechlab.experiment import (ExperimentSpec, audit_csv, fit_csv,
                                 manifest_payload, predicted_exponent,
                                 results_csv, run_experiment, write_manifest)
 from cechlab.geometry import PointCloud
+from cechlab.persistence import compute_persistence
 from cechlab.render import render_balls
 from cechlab.sampling import Density, sample_poisson, stream
+from scalar_cech import scalar_build
 
 _UNIT = [(0.0, 1.0), (0.0, 1.0)]
 _FORK = os.fork
@@ -383,10 +385,25 @@ def test_cli_persistence_and_render(tmp_path):
     assert cli.main(["persistence", "--cloud", str(cloud_path),
                      "--r-max", "0.4", "--out", str(diagram_path)]) == 0
     assert diagram_path.read_text().startswith("dim,birth,death")
+    reference_path = tmp_path / "reference.csv"
+    compute_persistence(scalar_build(PointCloud.load(cloud_path), 0.4, 2)).save_csv(reference_path)
+    assert diagram_path.read_bytes() == reference_path.read_bytes()
     svg = tmp_path / "balls.svg"
     assert cli.main(["render", "--cloud", str(cloud_path), "--r", "0.05",
                      "--theta", "1.4", "--box=0,1;0,1", "--out", str(svg)]) == 0
     assert len(_circles(svg)) == 30
+
+
+def test_cli_persistence_rejects_a_dense_cloud(tmp_path, capsys):
+    # 400 points at r_max = 1 in the unit square need 10,586,800 candidate
+    # triangles: an error line and exit code 1, before any is made.
+    cloud_path = tmp_path / "cloud.txt"
+    PointCloud(2, np.random.default_rng(101).random((400, 2))).save(cloud_path)
+    diagram_path = tmp_path / "diagram.csv"
+    assert cli.main(["persistence", "--cloud", str(cloud_path), "--r-max", "1",
+                     "--out", str(diagram_path)]) == 1
+    assert "candidate triangles" in capsys.readouterr().err
+    assert not diagram_path.exists()
 
 
 def test_cli_experiment_with_config_is_reproducible(tmp_path):

@@ -8,8 +8,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from cechlab.errors import ConfigurationError
 from cechlab.geometry import PointCloud, miniball
-from cechlab.filtration import FilteredComplex, build_cech_filtration
+from cechlab.filtration import FilteredComplex, _build, build_cech_filtration
+from scalar_cech import scalar_build
 
 
 def _brute_force_simplices(cloud: PointCloud, r_max: float, max_dim: int):
@@ -118,6 +120,58 @@ def test_invalid_r_max_rejected():
         build_cech_filtration(cloud, 0.0, 1)
     with pytest.raises(ValueError):
         build_cech_filtration(cloud, math.inf, 1)
+
+
+def test_whole_cloud_build_equals_scalar_reference():
+    # Every filtration comes from the batched builder with all points under
+    # one label; the reference grows each simplex with its own miniball call.
+    # Equality is of the sorted (vertices, value) tuples, bit for bit.
+    rng = np.random.default_rng(97)
+    cases = []
+    for _ in range(24):
+        d = int(rng.integers(2, 4))
+        n = int(rng.integers(2, 41))
+        cases.append((PointCloud(d, rng.random((n, d))),
+                      float(rng.choice([0.08, 0.15, 0.25]) * rng.uniform(0.5, 1.5))))
+    # Holed dyadic lattices: edges at exactly r_max, right triangles and
+    # squares with vertices exactly on the diametral sphere of a diagonal.
+    square = np.array([(i, j) for i in range(6) for j in range(6)]) * 0.125
+    cube = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(3)]) * 0.25
+    for lattice in (square, cube):
+        spacing = float(lattice[1, -1] - lattice[0, -1])
+        cloud = PointCloud(lattice.shape[1], lattice[rng.random(len(lattice)) < 0.8])
+        for factor in (1.0, math.sqrt(2.0), math.sqrt(3.0)):
+            cases.append((cloud, factor * spacing / 2.0))
+    # Thales pieces: an antipodal pair and two more points on a circle of
+    # radius r, on the diametral sphere only up to rounding.
+    pieces = []
+    for offset in range(4):
+        angles = np.concatenate([[0.0, math.pi], rng.uniform(0.0, 2.0 * math.pi, 2)])
+        angles += rng.uniform(0.0, math.pi)
+        pieces.append(0.05 * np.column_stack([np.cos(angles), np.sin(angles)])
+                      + (2.0 + 0.5 * offset, 2.0))
+    cases.append((PointCloud(2, np.vstack(pieces)), 0.05))
+    # No point and one point.
+    cases += [(PointCloud.from_points([], dim=2), 0.3), (PointCloud.from_points([(0.5, 0.5)]), 0.3)]
+    for cloud, r_max in cases:
+        for max_dim in range(4):
+            built = build_cech_filtration(cloud, r_max, max_dim, force=True)
+            assert built == scalar_build(cloud, r_max, max_dim), (cloud.points.tolist(), r_max)
+    # r_max = 0 (only `_build` takes it): edges, triangles and tetrahedra of copies.
+    pts = rng.random((12, 3))
+    cloud = PointCloud(3, np.vstack([pts, pts[:6], pts[:3], pts[:2]]))
+    for max_dim in range(4):
+        assert _build(cloud, 0.0, max_dim) == scalar_build(cloud, 0.0, max_dim)
+    assert scalar_build(cloud, 0.0, 3).dimension_counts() == {0: 23, 1: 18, 2: 9, 3: 2}
+
+
+def test_dense_cloud_fails_fast():
+    # 400 points at r_max = 1 in the unit square form one clique: 10,586,800
+    # candidate triangles, above the builder's cap, refused before any is made.
+    cloud = PointCloud(2, np.random.default_rng(101).random((400, 2)))
+    with pytest.raises(ConfigurationError, match="candidate triangles"):
+        build_cech_filtration(cloud, 1.0, 2)
+    assert len(build_cech_filtration(cloud, 1.0, 1)) == 400 + 400 * 399 // 2
 
 
 def test_validate_rejects_broken_complexes():

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
-from cechlab.filtration import _build, build_cech_filtration
+from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud, miniball
 from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, _component_complexes,
-                                 _rank_mod_p, betti, betti_oracle, compute_persistence,
-                                 persistent_betti)
+                                 betti, compute_persistence, persistent_betti,
+                                 persistent_betti_oracle)
+from scalar_cech import scalar_build
 
 
 def _unit_equilateral() -> PointCloud:
@@ -96,7 +96,7 @@ def test_betti_agrees_with_oracle_on_random_clouds():
         cloud = PointCloud(d, rng.random((n, d)))
         for r in rng.uniform(0.05, 0.8, size=3):
             for k in (0, 1):
-                assert betti(cloud, float(r), k) == betti_oracle(cloud, float(r), k)
+                assert betti(cloud, float(r), k) == persistent_betti_oracle(cloud, float(r), 1.0, k)
 
 
 def test_theta_one_reduces_to_ordinary_betti():
@@ -106,53 +106,6 @@ def test_theta_one_reduces_to_ordinary_betti():
         r = float(rng.uniform(0.05, 0.7))
         k = int(rng.integers(0, 2))
         assert persistent_betti(cloud, r, 1.0, k) == betti(cloud, r, k)
-
-
-def _miniball_values(cloud: PointCloud, top: int) -> list[dict[tuple[int, ...], float]]:
-    """Miniball radius of every q-simplex of the cloud, q = 0..top, one dict per q."""
-    return [{verts: miniball(cloud.points[list(verts)]).radius
-             for verts in combinations(range(len(cloud)), q + 1)} for q in range(top + 1)]
-
-
-def _build_values(cloud: PointCloud, r_max: float, top: int) -> list[dict[tuple[int, ...], float]]:
-    """Value of every q-simplex of the whole cloud's scalar `_build`, q = 0..top, one dict per q."""
-    values: list[dict[tuple[int, ...], float]] = [{} for _ in range(top + 1)]
-    for verts, value in _build(cloud, r_max, top, force=True).simplices:
-        values[len(verts) - 1][verts] = value
-    return values
-
-
-def _persistent_rank_oracle(values: list[dict[tuple[int, ...], float]], r: float, s: float,
-                            k: int, p: int) -> int:
-    """Rank of H_k(K_r) -> H_k(K_s) over F_p by dense ranks; no reduction code shared.
-
-    The image is Z_k(K_r) modulo the boundaries of K_s that lie in K_r, so
-    its dimension is dim Z_k(K_r) - rank d_{k+1}(K_s) + the rank of
-    d_{k+1}(K_s) restricted to the rows of the k-simplices outside K_r.
-    """
-
-    def simplices(q: int, radius: float) -> list[tuple[int, ...]]:
-        return [verts for verts, value in values[q].items() if value <= radius] if q >= 0 else []
-
-    def boundary(rows: list[tuple[int, ...]], cols: list[tuple[int, ...]]) -> np.ndarray:
-        row_index = {verts: i for i, verts in enumerate(rows)}
-        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for j, verts in enumerate(cols):
-            for omit in range(len(verts)):
-                face = verts[:omit] + verts[omit + 1:]
-                if face in row_index:
-                    mat[row_index[face], j] = (-1) ** omit
-        return mat
-
-    def rank(mat: np.ndarray) -> int:
-        return _rank_mod_p(mat, p) if mat.size else 0
-
-    inner = simplices(k, r)
-    cycles = len(inner) - rank(boundary(simplices(k - 1, r), inner))
-    outer = simplices(k, s)
-    fill = boundary(outer, simplices(k + 1, s))
-    outside = [i for i, verts in enumerate(outer) if values[k][verts] > r]
-    return cycles - rank(fill) + rank(fill[outside])
 
 
 def test_persistent_betti_agrees_with_rank_oracle():
@@ -183,11 +136,10 @@ def test_persistent_betti_agrees_with_rank_oracle():
         pieces.append(rng.random((int(rng.integers(1, 17 - planted)), d)))
         points = np.vstack(pieces)
         cloud = PointCloud(d, points + rng.normal(0.0, 1e-3 * r, points.shape))
-        values = _miniball_values(cloud, 3)
         for theta in (1.0, 1.1, 1.2, 1.4, 2.0):
             for k in (1, 2):
                 for p in (2, 3):
-                    expected = _persistent_rank_oracle(values, r, theta * r, k, p)
+                    expected = persistent_betti_oracle(cloud, r, theta, k, FieldSpec(p))
                     assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == expected, \
                         (trial, theta, k, p)
                     nonzero[k] += expected > 0
@@ -200,8 +152,7 @@ def test_persistent_betti_agrees_with_rank_oracle():
     # points on a circle, on the diametral sphere only up to rounding. At
     # such ties an edge's value (half its squared-distance root, as the
     # geometric graph tests it) and its miniball radius may differ in the
-    # last bit, so the dense ranks take the values of the whole cloud's
-    # scalar build.
+    # last bit; the oracle takes the edge value, as the filtration does.
     tied = {0: 0, 1: 0, 2: 0}
     square = np.array([(i, j) for i in range(4) for j in range(4)]) * 0.125
     cube = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(2)]) * 0.25
@@ -225,10 +176,9 @@ def test_persistent_betti_agrees_with_rank_oracle():
     for cloud, radii in clouds:
         for r in radii:
             for theta in (1.0, 1.2, 1.4, 2.0):
-                values = _build_values(cloud, theta * r, 3)
                 for k in (0, 1, 2):
                     for p in (2, 3):
-                        expected = _persistent_rank_oracle(values, r, theta * r, k, p)
+                        expected = persistent_betti_oracle(cloud, r, theta, k, FieldSpec(p))
                         assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == expected, \
                             (cloud.points.tolist(), r, theta, k, p)
                         tied[k] += expected > 0
@@ -254,7 +204,7 @@ def test_component_split_matches_whole_cloud_reduction():
         cloud = PointCloud(d, np.vstack([rng.random((n - 8, d)), octagon])[rng.permutation(n)])
         for theta in (1.0, 1.2, 1.4, 2.0):
             for p in (2, 3):
-                whole = compute_persistence(_build(cloud, theta * r, 2, force=True), FieldSpec(p))
+                whole = compute_persistence(scalar_build(cloud, theta * r, 2), FieldSpec(p))
                 for k in (0, 1):
                     assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == \
                         whole.rank(k, r, theta * r)
@@ -298,7 +248,7 @@ def test_forest_components_are_skipped_exactly():
         cloud = PointCloud(d, points[rng.permutation(n)])
         for theta in (1.0, 1.2, 1.4, 2.0):
             for p in (2, 3):
-                whole = compute_persistence(_build(cloud, theta * r, 3, force=True), FieldSpec(p))
+                whole = compute_persistence(scalar_build(cloud, theta * r, 3), FieldSpec(p))
                 for k in (1, 2):
                     assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == \
                         whole.rank(k, r, theta * r)
@@ -309,7 +259,10 @@ def test_forest_components_are_skipped_exactly():
 
 
 def _assert_components_match_build(cloud: PointCloud, r: float, theta: float, k: int) -> int:
-    """Each kept component's batched simplices equal `_build` of its sub-cloud; returns how many."""
+    """Each kept component's batched simplices equal the scalar build of its sub-cloud.
+
+    Returns how many components were compared.
+    """
     _, labels, simplices = _component_complexes(cloud, r, theta * r, k)
     if not simplices:
         return 0
@@ -318,7 +271,7 @@ def _assert_components_match_build(cloud: PointCloud, r: float, theta: float, k:
     for label in np.unique(labels[kept]).tolist():
         members = kept[labels[kept] == label]
         sub = PointCloud(cloud.dim, cloud.points[members])
-        built = _build(sub, theta * r, k + 1, force=True).simplices
+        built = scalar_build(sub, theta * r, k + 1).simplices
         for q, (verts, values) in enumerate(simplices):
             assert verts.shape[1] == q + 1
             mine = labels[verts[:, 0]] == label
@@ -390,7 +343,7 @@ def test_edge_value_squares_like_the_geometric_graph():
     cloud = PointCloud.from_points([(0.0, 0.0), (0.9246167895943446, 0.4141896219577419)])
     r = miniball(cloud).radius
     assert r == 0.5065740939233987
-    assert betti(cloud, r, 0) == betti_oracle(cloud, r, 0) == 1
+    assert betti(cloud, r, 0) == persistent_betti_oracle(cloud, r, 1.0, 0) == 1
 
 
 def test_oracle_takes_the_filtration_edge_value_at_a_thales_tie():
@@ -404,7 +357,7 @@ def test_oracle_takes_the_filtration_edge_value_at_a_thales_tie():
                                     (1.9516666781924836, 2.0040174622650464)])
     r = 0.0485
     assert miniball(cloud.points[:2]).radius <= r < 0.5 * math.dist(*cloud.points[:2])
-    assert betti(cloud, r, 1) == betti_oracle(cloud, r, 1) == 1
+    assert betti(cloud, r, 1) == persistent_betti_oracle(cloud, r, 1.0, 1) == 1
 
 
 def test_persistent_betti_monotone_in_theta():
@@ -488,14 +441,20 @@ def test_oracle_rejects_oversized_input():
     rng = np.random.default_rng(71)
     cloud = PointCloud(2, rng.random((17, 2)))
     with pytest.raises(ValueError):
-        betti_oracle(cloud, 0.3, 1)
+        persistent_betti_oracle(cloud, 0.3, 1.0, 1)
+    with pytest.raises(ValueError):
+        persistent_betti_oracle(cloud, 0.3, 1.4, 1)
+    persistent_betti_oracle(PointCloud(2, cloud.points[:16]), 0.3, 1.4, 1)
 
 
 def test_invalid_queries_rejected():
     cloud = _unit_equilateral()
     with pytest.raises(ValueError):
-        persistent_betti(cloud, 0.5, 0.9, 1)
-    with pytest.raises(ValueError):
         betti(cloud, -0.1, 1)
     with pytest.raises(ValueError):
         betti(cloud, 0.5, -1)
+    for rank in (persistent_betti, persistent_betti_oracle):
+        for r, theta, k in [(0.5, 0.9, 1), (0.5, math.inf, 1), (0.5, math.nan, 1),
+                            (-0.1, 1.2, 1), (math.inf, 1.2, 1), (0.5, 1.2, -1)]:
+            with pytest.raises(ValueError):
+                rank(cloud, r, theta, k)
