@@ -8,12 +8,13 @@ from .filtration import FilteredComplex, build_cech_filtration
 from .geometry import (Ball, GeometricGraph, PointCloud, ball_volume,
                        geometric_graph, miniball)
 from .persistence import (GF2, FieldSpec, PersistenceDiagram, betti, compute_persistence,
-                          persistent_betti, persistent_betti_oracle)
+                          persistent_betti, persistent_betti_oracle, persistent_bettis)
 from .properties import (ContextIndicator, DiagnosticRow, MuEstimate, PalmResult,
                          PropertyDescriptor, SmallGraph, SubsetPropertyDescriptor,
                          comp, component_count, conn, convergence_diagnostic,
                          count_property, estimate_mu, iso_graph, palm_check, sep,
-                         spread, subset_count, trivial_context, upsilon, zeta)
+                         spread, subset_count, subset_counts, trivial_context, upsilon,
+                         zeta)
 from .render import render_balls
 from .sampling import Density, sample_binomial, sample_in_ball, sample_poisson, stream
 from .witness import (CycleWitness, MBracket, bracket_m, construct_witness,
@@ -33,10 +34,12 @@ __all__ = [
     "component_count", "compute_persistence", "conn", "construct_witness",
     "convergence_diagnostic", "count_property", "estimate_mu", "fit_exponent",
     "geometric_graph", "iso_graph", "lower_bound_audit", "miniball",
-    "palm_check", "persistent_betti", "persistent_betti_oracle", "perturb_and_verify",
+    "palm_check", "persistent_betti", "persistent_betti_oracle", "persistent_bettis",
+    "perturb_and_verify",
     "perturbation_radius", "predicted_exponent", "render_balls",
     "run_experiment", "sample_binomial", "sample_in_ball", "sample_poisson",
-    "search_m", "sep", "spread", "stream", "subset_count", "trivial_context",
+    "search_m", "sep", "spread", "stream", "subset_count", "subset_counts",
+    "trivial_context",
     "upper_bound_constant", "upsilon", "write_manifest", "zeta",
     "zeta_indicator",
 ]

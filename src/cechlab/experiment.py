@@ -8,7 +8,10 @@ Trials are independent: trial t at grid index i draws from its own
 stream (seed, i, t). `run_experiment` and `lower_bound_audit` split each
 batch of trials over the cores this process may run on, one forked
 process per extra core, and gather the values in trial order, so every
-output is bit-identical to a serial run.
+output is bit-identical to a serial run. Each core's chunk runs as
+consecutive batches of trials whose clouds are ranked (and, in the
+audit, counted) by one call per batch: `persistent_bettis` and
+`subset_counts`.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import numpy as np
 import scipy
 
 from .errors import AuditError, ConfigurationError
-from .persistence import GF2, FieldSpec, persistent_betti
-from .properties import subset_count, upsilon
+from .persistence import GF2, FieldSpec, persistent_bettis
+from .properties import subset_counts, upsilon
 from .sampling import Density, sample_poisson, stream
 
 T = TypeVar("T")
@@ -122,7 +125,7 @@ class ExperimentSpec:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRow:
     n: float
     r: float
@@ -165,38 +168,61 @@ def predicted_exponent(d: int, q: float, m: int) -> float:
     return 1.0 + (q * d + 1.0) * (m - 1)
 
 
-def _run_chunk(task: Callable[[int], T], chunk: range) -> list[T] | int:
-    """The chunk's values in order, or the first trial of it whose task raises."""
-    values = []
-    for t in chunk:
+# Points a batch of trials may hold, counted by intensity: a batch is as many
+# consecutive trials as fit, and at least one. So a figure-1 cloud at n = 1e5
+# is a batch of its own, and a criterion-6 chunk of 20-point clouds is one.
+_BATCH_POINTS = 100_000
+
+
+def _run_chunk(task: Callable[[range], list[T]], chunk: range, size: int) -> list[T] | int:
+    """The chunk's values in order, or the first trial of it whose task raises.
+
+    The chunk goes to `task` as consecutive batches of `size` trials. A
+    batch that raises is run again one trial at a time, so the trial found
+    is the serial loop's, and a batch that raised only as a whole gives the
+    values of its trials run alone.
+    """
+    values: list[T] = []
+    for start in range(chunk.start, chunk.stop, size):
+        batch = range(start, min(start + size, chunk.stop))
         try:
-            values.append(task(t))
+            values += task(batch)
+            continue
         except Exception:
-            return t
+            pass
+        for t in batch:
+            try:
+                values += task(range(t, t + 1))
+            except Exception:
+                return t
     return values
 
 
-def _map_trials(task: Callable[[int], T], trials: range) -> list[T]:
-    """`[task(t) for t in trials]`, with the trials split over the usable cores.
+def _map_trials(task: Callable[[range], list[T]], trials: range, intensity: float) -> list[T]:
+    """The values of `trials` in order, with the trials split over the usable cores.
 
-    The trials are cut into w contiguous chunks, w being the number of
-    cores in this process's affinity mask capped by the number of trials.
-    The caller runs the first chunk itself; a forked child runs each other
-    one and pickles its values back through a pipe. While other threads
-    run, w is 1: a fork copies only the calling thread, so a lock another
-    thread holds would stay held in the child. Each trial draws from its
-    own stream, so the values are the serial loop's.
+    `task` maps a range of consecutive trials to their values, and each
+    trial's cloud has the given intensity. The trials are cut into w
+    contiguous chunks, w being the number of cores in this process's
+    affinity mask capped by the number of trials. The caller runs the first
+    chunk itself; a forked child runs each other one and pickles its values
+    back through a pipe. While other threads run, w is 1: a fork copies only
+    the calling thread, so a lock another thread holds would stay held in
+    the child. Each chunk goes to `task` in batches of up to
+    `_BATCH_POINTS / intensity` trials (`_run_chunk`). Each trial draws from
+    its own stream, so the values are the serial loop's.
 
-    A child whose trial raises sends back that trial, and the caller runs
-    it again, so the exception raised is the serial loop's: the first in
-    trial order, with its own type and message. Children end in
-    `os._exit` and are reaped before this returns or raises; on an
-    exception they are killed first.
+    The first trial whose task raises, in the caller's chunk or a child's,
+    is run again alone by the caller, so the exception raised is the serial
+    loop's: the first in trial order, with its own type and message.
+    Children end in `os._exit` and are reaped before this returns or raises;
+    on an exception they are killed first.
     """
+    size = max(1, int(_BATCH_POINTS // intensity))
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     w = 1 if threading.active_count() > 1 else min(cores, len(trials))
     if w <= 1:
-        return [task(t) for t in trials]
+        return _raise_or_values(task, _run_chunk(task, trials, size), "")
     chunks = [trials[j * len(trials) // w:(j + 1) * len(trials) // w] for j in range(w)]
     children = []  # (pid, read end of its pipe, its chunk)
     try:
@@ -207,23 +233,19 @@ def _map_trials(task: Callable[[int], T], trials: range) -> list[T]:
                 try:
                     os.close(read)
                     with os.fdopen(write, "wb") as out:
-                        pickle.dump(_run_chunk(task, chunk), out)
+                        pickle.dump(_run_chunk(task, chunk, size), out)
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb"), chunk))
-        values = [task(t) for t in chunks[0]]
+        values = _raise_or_values(task, _run_chunk(task, chunks[0], size), "")
         for pid, pipe, chunk in children:
             try:
                 result = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(f"worker process {pid} ended without the values "
                                    f"of trials {chunk[0]}..{chunk[-1]}") from None
-            if isinstance(result, int):
-                task(result)
-                raise RuntimeError(f"trial {result} raised in a worker process "
-                                   f"but not when run again")
-            values += result
+            values += _raise_or_values(task, result, " in a worker process")
         return values
     except BaseException:
         for pid, _, _ in children:
@@ -233,6 +255,15 @@ def _map_trials(task: Callable[[int], T], trials: range) -> list[T]:
         for pid, pipe, _ in children:
             pipe.close()
             os.waitpid(pid, 0)
+
+
+def _raise_or_values(task: Callable[[range], list[T]], result: list[T] | int,
+                     where: str) -> list[T]:
+    """The values of `_run_chunk`, or the exception of the trial it names, run again."""
+    if isinstance(result, int):
+        task(range(result, result + 1))
+        raise RuntimeError(f"trial {result} raised{where} but not when run again")
+    return result
 
 
 def _collect_row(spec: ExperimentSpec, n_index: int) -> ResultRow:
@@ -248,15 +279,15 @@ def _collect_row(spec: ExperimentSpec, n_index: int) -> ResultRow:
     r = spec.radius(n)
     cap = spec.max_trials if spec.max_trials is not None else spec.trials
 
-    def trial(t: int) -> int:
-        cloud = sample_poisson(n, spec.density, stream(spec.seed, n_index, t))
-        return persistent_betti(cloud, r, spec.theta, spec.k, spec.field)
+    def trials(batch: range) -> list[int]:
+        clouds = [sample_poisson(n, spec.density, stream(spec.seed, n_index, t)) for t in batch]
+        return persistent_bettis(clouds, r, spec.theta, spec.k, spec.field).tolist()
 
     values: list[int] = []
     while True:
         done = len(values)
         target = spec.trials if done == 0 else min(cap, done + max(spec.trials, done // 2))
-        values += _map_trials(trial, range(done, target))
+        values += _map_trials(trials, range(done, target), n)
         mean = float(np.mean(values))
         se = 0.0
         if len(values) > 1:
@@ -323,7 +354,7 @@ def fit_exponent(rows: Sequence[tuple[float, float]]) -> FitSummary:
     return FitSummary(slope=slope, ci_lo=slope - tq * se, ci_hi=slope + tq * se)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRow:
     n: float
     trial: int
@@ -354,8 +385,10 @@ def lower_bound_audit(spec: ExperimentSpec, m: int,
     support a persistent cycle can never exceed the persistent Betti
     number of the whole cloud; a violating cloud is saved to `dump_dir`
     for repro before the audit aborts. The trials of each grid point are
-    split over the usable cores by `_map_trials`, and the audit stops at
-    the first violation or error in trial order, as a serial loop would.
+    split over the usable cores by `_map_trials`; a batch of them is
+    sampled, counted by `subset_counts` and ranked by `persistent_bettis`,
+    then checked in trial order. The audit stops at the first violation or
+    error in trial order, as a serial loop would.
     """
     if spec.k < 1:
         raise ConfigurationError(f"audit needs homology degree k >= 1, got {spec.k}")
@@ -368,22 +401,25 @@ def lower_bound_audit(spec: ExperimentSpec, m: int,
         r = spec.radius(n)
         h = upsilon(r, m, spec.theta, spec.k, spec.field)
 
-        def trial(t: int) -> AuditRow:
-            cloud = sample_poisson(n, spec.density, stream(spec.seed, i, t))
-            count = subset_count(h, cloud)
-            rank = persistent_betti(cloud, r, spec.theta, spec.k, spec.field)
-            if count > rank:
-                path = Path(dump_dir) / f"audit-violation-n{n:g}-trial{t}.txt"
-                # A child's violating trial is run again by the caller, which
-                # saves it; a child saving could leave clouds of later trials.
-                if os.getpid() == caller:
-                    cloud.save(path)
-                raise AuditError(
-                    f"isolated-cycle count {count} exceeds persistent Betti {rank} "
-                    f"at n={n:g}, trial {t}; offending cloud saved to {path}")
-            return AuditRow(n=n, trial=t, isolated_cycles=count, persistent_betti=rank)
+        def trials(batch: range) -> list[AuditRow]:
+            clouds = [sample_poisson(n, spec.density, stream(spec.seed, i, t)) for t in batch]
+            counts = subset_counts(h, clouds).tolist()
+            ranks = persistent_bettis(clouds, r, spec.theta, spec.k, spec.field).tolist()
+            out = []
+            for t, cloud, count, rank in zip(batch, clouds, counts, ranks):
+                if count > rank:
+                    path = Path(dump_dir) / f"audit-violation-n{n:g}-trial{t}.txt"
+                    # A child's violating trial is run again by the caller, which
+                    # saves it; a child saving could leave clouds of later trials.
+                    if os.getpid() == caller:
+                        cloud.save(path)
+                    raise AuditError(
+                        f"isolated-cycle count {count} exceeds persistent Betti {rank} "
+                        f"at n={n:g}, trial {t}; offending cloud saved to {path}")
+                out.append(AuditRow(n=n, trial=t, isolated_cycles=count, persistent_betti=rank))
+            return out
 
-        rows += _map_trials(trial, range(spec.trials))
+        rows += _map_trials(trials, range(spec.trials), n)
     return AuditTable(rows=tuple(rows))
 
 

@@ -2,18 +2,19 @@
 
 A simplex enters the filtration at the radius of the miniball of its
 vertices (closed balls: the complex at radius r contains every simplex
-whose value is <= r). Candidate simplices are enumerated only among
-cliques of the geometric graph at scale 2*r_max, which is exact: any
-simplex with miniball radius <= r_max has all pairwise distances
-<= 2*r_max.
+whose value is <= r); an edge's value is half the root of its squared
+length. Candidate simplices are enumerated only among cliques of the
+edges of value <= r_max (`_edge_pairs`), which is exact: a simplex is
+valued at least at each of its edges.
 
 One builder serves every caller. `_component_filtrations` builds the
-simplices of many components of a cloud in one batched numpy pass: edges
-and triangles are enumerated as arrays from the cloud's neighbour pairs,
-triangle radii come from `geometry._triangle_radii`, which is bit-equal
-to `miniball`, and higher simplices grow through `_cofaces`. It returns
-arrays of vertices and values per dimension. `_build` runs it on a whole
-cloud as one component and sorts the result into a `FilteredComplex`.
+simplices of many components, of one cloud or of a batch of clouds, in
+one batched numpy pass: edges and triangles are enumerated as arrays
+from the neighbour pairs, triangle radii come from
+`geometry._triangle_radii`, which is bit-equal to `miniball`, and higher
+simplices grow through `_cofaces`. It returns arrays of vertices and
+values per dimension. `_build` runs it on a whole cloud as one component
+and sorts the result into a `FilteredComplex`.
 """
 from __future__ import annotations
 
@@ -28,6 +29,10 @@ from .errors import ConfigurationError
 from .geometry import PointCloud, _rows_dist2, _tree_pairs, _triangle_radii, miniball
 
 __all__ = ["FilteredComplex", "build_cech_filtration"]
+
+# Relative slack of the neighbour query behind `_edge_pairs`; the edge value
+# test that follows it is exact.
+_QUERY_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,33 +123,48 @@ def _cofaces(pts: np.ndarray, above: Mapping[int, set[int]],
         frontier = next_frontier
 
 
-def _component_filtrations(points: np.ndarray, pairs: np.ndarray, labels: np.ndarray,
-                           keep: np.ndarray, r_max: float,
-                           max_dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Simplices of the kept components of a cloud, built in one batched pass.
+def _edge_pairs(cloud: PointCloud, r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of Cech_{r_max}: pairs i < j of value <= r_max, and their values.
 
-    `pairs` holds the cloud's pairs i < j at distance <= 2*r_max, `labels`
-    the connected components of that graph and `keep` a mask over labels.
-    Returns, for q = 0..max_dim, the q-simplices of all kept components as
-    rows of ascending global vertex indices, and their values, in no fixed
-    order. The simplices of one component, with their values, are those of
-    the scalar reference builder in `tests/scalar_cech.py` (one `miniball`
-    call per candidate simplex) run on its members taken as a sub-cloud in
-    ascending index order: edges pass the geometric graph's closed test on
-    the same squared distance, and triangle radii are bit-equal to
-    `miniball`'s (`_triangle_radii`).
+    An edge's value is half the root of its squared length (`_rows_dist2`,
+    the squared distance `_dist2` takes). The neighbour query runs with a
+    relative slack, so rounding in the k-d tree or in (2*r_max)**2 never
+    drops an edge whose value is exactly r_max; the value test decides.
+    Pairs are in no fixed order.
+    """
+    if len(cloud) < 2:
+        return np.zeros((0, 2), dtype=np.intp), np.zeros(0)
+    pairs = _tree_pairs(cloud, 2.0 * r_max * _QUERY_SLACK)
+    values = 0.5 * np.sqrt(_rows_dist2(cloud.points[pairs[:, 0]], cloud.points[pairs[:, 1]]))
+    inside = values <= r_max
+    return pairs[inside], values[inside]
+
+
+def _component_filtrations(points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray,
+                           labels: np.ndarray, keep: np.ndarray, r_max: float, max_dim: int,
+                           owner: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Simplices of the kept components of one or more clouds, built in one batched pass.
+
+    `edges` and `edge_values` are the edges of Cech_{r_max} (`_edge_pairs`),
+    `labels` the connected components of that graph and `keep` a mask over
+    labels; `owner` maps a label to its cloud, for the triangle cap. Returns, for q = 0..max_dim, the
+    q-simplices of all kept components as rows of ascending global vertex
+    indices, and their values, in no fixed order. The simplices of one
+    component, with their values, are those of the scalar reference builder
+    in `tests/scalar_cech.py` (one `miniball` call per candidate simplex)
+    run on its members taken as a sub-cloud in ascending index order:
+    triangle radii are bit-equal to `miniball`'s (`_triangle_radii`).
     """
     kept = np.flatnonzero(keep[labels])  # ascending
     parts = [(kept[:, None], np.zeros(len(kept)))]  # (vertices, values) per dimension
     if max_dim >= 1:
-        edges = pairs[keep[labels[pairs[:, 0]]]]
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        d2 = _rows_dist2(points[edges[:, 0]], points[edges[:, 1]])
-        inside = d2 <= (2.0 * r_max) * (2.0 * r_max)  # geometric_graph's closed test
-        edges = edges[inside]
-        parts.append((edges, 0.5 * np.sqrt(d2[inside])))
+        mine = keep[labels[edges[:, 0]]]
+        edges, edge_values = edges[mine], edge_values[mine]
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        edges = edges[order]
+        parts.append((edges, edge_values[order]))
     if max_dim >= 2:
-        parts.append(_triangles(points, edges, parts[1][1], r_max))
+        parts.append(_triangles(points, edges, parts[1][1], r_max, owner[labels[edges[:, 0]]]))
     if max_dim >= 3:
         above: dict[int, set[int]] = defaultdict(set)
         for i, j in edges.tolist():
@@ -158,40 +178,55 @@ def _component_filtrations(points: np.ndarray, pairs: np.ndarray, labels: np.nda
     return parts
 
 
-# Candidate triangles `_triangles` may enumerate at once; each takes at least
-# 40 bytes of index arrays. Figure-1 clouds at n = 1e5 need under 6,000 and
-# `construct_witness(1, 10.0)` about 440,000; the k = 2 witness at theta = 1,
-# one 2594-point component, would need 5.3e8.
+# Candidate triangles one cloud may need; `_triangles` also holds at most this
+# many at once, at least 40 bytes each of index arrays. Figure-1 clouds at
+# n = 1e5 need under 6,000 and `construct_witness(1, 10.0)` about 440,000; the
+# k = 2 witness at theta = 1, one 2594-point component, would need 5.3e8.
 _MAX_TRIANGLE_CANDIDATES = 5_000_000
 
 
 def _triangles(points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray,
-               r_max: float) -> tuple[np.ndarray, np.ndarray]:
+               r_max: float, edge_clouds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangles of a lexsorted edge list with value <= r_max, and their values.
 
     For each edge (i, j), every edge (j, v) gives a candidate (i, j, v),
     kept if (i, v) is an edge too (binary search on the keys i*n + v). Its
     value is the largest of its miniball radius and its three edge values.
     Raises ConfigurationError, before allocating them, when the candidates
-    number more than `_MAX_TRIANGLE_CANDIDATES`.
+    of one cloud (`edge_clouds` numbers the cloud of each edge) number more than
+    `_MAX_TRIANGLE_CANDIDATES`. Candidates are made for consecutive runs of
+    edges, at most that many at a time, so a batch of many clouds takes no
+    more memory than its largest allowed cloud.
     """
+    if not len(edges):
+        return np.zeros((0, 3), dtype=np.intp), np.zeros(0)
     n = len(points)
     first, second = edges[:, 0], edges[:, 1]
     count = np.bincount(first, minlength=n)
     start = np.cumsum(count) - count
     reps = count[second]
-    candidates = int(reps.sum())
+    candidates = int(np.bincount(edge_clouds, weights=reps).max())
     if candidates > _MAX_TRIANGLE_CANDIDATES:
         raise ConfigurationError(
             f"the filtration needs {candidates} candidate triangles, above the cap of "
             f"{_MAX_TRIANGLE_CANDIDATES}")
-    ij = np.repeat(np.arange(len(edges)), reps)
-    jv = start[second[ij]] + np.arange(len(ij)) - np.repeat(np.cumsum(reps) - reps, reps)
     keys = first.astype(np.int64) * n + second
-    wanted = first[ij].astype(np.int64) * n + second[jv]
-    iv = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    found = keys[iv] == wanted
-    ij, jv, iv = ij[found], jv[found], iv[found]
+    ends = np.cumsum(reps)
+    runs = []  # (ij, jv, iv) of the triangles found from each run of edges lo..hi-1
+    lo = 0
+    while lo < len(edges):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, done + _MAX_TRIANGLE_CANDIDATES, side="right")), lo + 1)
+        run = slice(lo, hi)
+        ij = np.repeat(np.arange(lo, hi), reps[run])
+        jv = (start[second[ij]] + np.arange(done, int(ends[hi - 1]))
+              - np.repeat(ends[run] - reps[run], reps[run]))
+        wanted = first[ij].astype(np.int64) * n + second[jv]
+        iv = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hit = keys[iv] == wanted
+        runs.append((ij[hit], jv[hit], iv[hit]))
+        lo = hi
+    ij, jv, iv = (np.concatenate(column) for column in zip(*runs))
     triangles = np.column_stack((first[ij], second[ij], second[jv]))
     values = np.maximum.reduce([_triangle_radii(points[triangles]),
                                 edge_values[ij], edge_values[iv], edge_values[jv]])
@@ -227,9 +262,9 @@ def _build(cloud: PointCloud, r_max: float, max_dim: int, force: bool = False) -
             f"max_dim={max_dim} exceeds the ambient dimension {cloud.dim}; "
             "degree-k homology needs simplices only up to dimension k+1 <= d. "
             "Pass force=True to build anyway.")
-    parts = _component_filtrations(cloud.points, _tree_pairs(cloud, 2.0 * r_max),
+    parts = _component_filtrations(cloud.points, *_edge_pairs(cloud, r_max),
                                    np.zeros(len(cloud), dtype=np.intp), np.array([True]),
-                                   r_max, max_dim)
+                                   r_max, max_dim, np.array([0]))
     simplices = sorted(((verts, value) for rows, values in parts
                         for verts, value in zip(map(tuple, rows.tolist()), values.tolist())),
                        key=lambda sv: (sv[1], len(sv[0]), sv[0]))

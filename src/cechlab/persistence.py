@@ -17,25 +17,32 @@ Rank queries follow the closed convention: a class with interval
 exactly r does not count.
 
 `persistent_betti` sums over connected components. The Cech complex at
-theta*r is the disjoint union of its pieces over the components of the
-geometric graph at 2*theta*r (a simplex of radius <= theta*r has all
-pairwise distances <= 2*theta*r), and the complex at r sits inside it
+theta*r is the disjoint union of its pieces over the components of its
+1-skeleton: the pairs whose edge value, half the root of their squared
+distance, is <= theta*r (`filtration._edge_pairs`: a k-d tree query with
+a relative slack, then that exact test). The complex at r sits inside it
 piece by piece, so the rank is the sum of the per-component ranks. In
-degree 0 a lone point carries one class. A degree-k class with k >= 1
+degree 0 each component carries one class. A degree-k class with k >= 1
 needs at least k+2 points (the boundary of a (k+1)-simplex is the
-smallest k-cycle) and a cycle in the graph at 2r: that graph holds the
-1-skeleton of the complex at r, and where it is a forest the complex at
-r is that forest (a triangle would need a cycle), with no homology above
-degree 0. So in degrees k >= 1 only components of k+2 or more points
-whose graph at 2r has a cycle (edges - vertices + components > 0) are
-kept. In the subcritical regime almost every component is a tiny tree:
-at n = 1e5 a figure-1 cloud has about 8.8k components of 3 or more
-points, and about 1.6k of them have a cycle at 2r. The kept components
-are built together in one batched pass over the pairs that the
-labelling found (`filtration._component_filtrations`), with triangle
-radii bit-equal to `miniball`'s; the simplices of each are those built
-from its component as a sub-cloud. Clouds of every size take this path;
-`geometry._labels` labels the components in numpy.
+smallest k-cycle) and a cycle in the 1-skeleton at r: where that graph
+is a forest, the complex at r is that forest (a triangle would need a
+cycle), with no homology above degree 0. So in degrees k >= 1 only
+components of k+2 or more points whose 1-skeleton at r has a cycle
+(edges - vertices + components > 0) are kept. In the subcritical regime
+almost every component is a tiny tree: at n = 1e5 a figure-1 cloud has
+about 8.8k components of 3 or more points, and about 1.6k of them have a
+cycle at r. The kept components are built together in one batched pass
+over the labelled pairs (`filtration._component_filtrations`), with
+triangle radii bit-equal to `miniball`'s; the simplices of each are
+those built from its component as a sub-cloud. `geometry._labels`
+labels the components in numpy.
+
+`persistent_bettis` runs all of this on a batch of clouds: their points
+are numbered one after another (each cloud's pairs offset by its first
+index), so components never mix, and one labelling, one batched build
+and one reduction serve every cloud. Each term of the rank below is a
+sum over components, so `np.bincount` over the cloud of each simplex
+splits it per cloud. `persistent_betti` is the batch of one.
 
 The rank itself is read off those arrays without a diagram. With
 K = Cech_r and L = Cech_{theta*r},
@@ -48,7 +55,7 @@ rows of value <= r number the rank of that row block, which is the last
 term, whatever the order of the columns and of rows at equal value. One
 pass reduces the (k+1)-columns of all kept components together, rows
 numbered by component and then value, so the components never mix. For
-k <= 1, rank d_k(K) is vertices minus components of K's 1-skeleton;
+k = 1, rank d_k(K) is vertices minus components of K's 1-skeleton;
 above, it is the pivot count of a second pass over K's k-columns that
 skips the k-simplices that are pivots of the first (clearing: such a
 column is a sum of columns before it in the same row order).
@@ -61,11 +68,12 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .filtration import FilteredComplex, _component_filtrations
-from .geometry import PointCloud, _dist2, _labels, _tree_pairs, miniball
+from .filtration import FilteredComplex, _component_filtrations, _edge_pairs
+from .geometry import PointCloud, _dist2, _labels, miniball
 
 __all__ = [
     "FieldSpec",
@@ -74,6 +82,7 @@ __all__ = [
     "compute_persistence",
     "betti",
     "persistent_betti",
+    "persistent_bettis",
     "persistent_betti_oracle",
 ]
 
@@ -244,11 +253,24 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
     Counts the classes born by r that are still alive at theta*r; theta = 1
     recovers the ordinary Betti number. The rank is
     dim Z_k(K_r) - dim(Z_k(K_r) & B_k(K_{theta*r})), summed over the
-    connected components of the geometric graph at 2*theta*r; for k >= 1
-    only components whose graph at 2r has a cycle are kept. Their simplices
+    connected components of K_{theta*r}'s 1-skeleton; for k >= 1 only
+    components whose 1-skeleton at r has a cycle are kept. Their simplices
     are built in one batched pass, and one reduction of the (k+1)-columns of
     all of them gives the second term (see the module docstring). No
-    persistence diagram is built; `compute_persistence` gives those.
+    persistence diagram is built; `compute_persistence` gives those. This
+    is `persistent_bettis` on a batch of one cloud.
+    """
+    return int(persistent_bettis([cloud], r, theta, k, field_spec)[0])
+
+
+def persistent_bettis(clouds: Sequence[PointCloud], r: float, theta: float, k: int,
+                      field_spec: FieldSpec = GF2) -> np.ndarray:
+    """`persistent_betti` of each cloud of a batch, from one pass over all of them.
+
+    The clouds' points are numbered one after another, so their components
+    never mix: one labelling, one batched build and one reduction serve the
+    whole batch, and the three terms of each rank are summed per cloud.
+    Returns one rank per cloud, as an int64 array.
     """
     if r < 0.0 or not math.isfinite(r):
         raise ValueError(f"radius must be a finite nonnegative real, got {r}")
@@ -256,56 +278,74 @@ def persistent_betti(cloud: PointCloud, r: float, theta: float, k: int,
         raise ValueError(f"persistence factor must satisfy theta >= 1, got {theta}")
     if k < 0:
         raise ValueError(f"homology degree must be nonnegative, got {k}")
-    if len(cloud) == 0:
-        return 0
-    lone, labels, simplices = _component_complexes(cloud, r, theta * r, k)
-    if not simplices:
-        return lone
-    vertices = simplices[0][0][:, 0]
+    m = len(clouds)
+    if not m:
+        return np.zeros(0, dtype=np.int64)
+    owner, labels, simplices = _component_complexes(clouds, r, theta * r, k)
     if k == 0:  # every class is born at 0 and survives in its component at theta*r
-        return lone + len(np.unique(labels[vertices]))
+        return np.bincount(owner, minlength=m)
+    if not simplices:
+        return np.zeros(m, dtype=np.int64)
+
+    def per_cloud(vertices: np.ndarray) -> np.ndarray:
+        return np.bincount(owner[labels[vertices]], minlength=m)
+
+    vertices = simplices[0][0][:, 0]
     inner = simplices[k][1] <= r
-    born = int(np.count_nonzero(inner))
+    born = per_cloud(simplices[k][0][inner, 0])
     lows = _pivot_rows(simplices, k + 1, labels, field_spec.characteristic)
-    filled = int(np.count_nonzero(inner[lows]))
+    filled = per_cloud(simplices[k][0][lows[inner[lows]], 0])
     if k == 1:
-        local = np.searchsorted(vertices, simplices[1][0][inner])
-        boundaries = len(vertices) - int(_labels(len(vertices), local).max()) - 1
+        inner_labels = _labels(len(vertices), np.searchsorted(vertices, simplices[1][0][inner]))
+        first = np.unique(inner_labels, return_index=True)[1]  # a vertex of each component
+        boundaries = per_cloud(vertices) - per_cloud(vertices[first])
     else:
         inner[lows] = False  # cleared: a pivot row's own column reduces to zero
-        boundaries = len(_pivot_rows(simplices, k, labels, field_spec.characteristic, inner))
+        pivots = _pivot_rows(simplices, k, labels, field_spec.characteristic, inner)
+        boundaries = per_cloud(simplices[k - 1][0][pivots, 0])
     return born - boundaries - filled
 
 
-def _component_complexes(cloud: PointCloud, r: float, r_outer: float, k: int
-                         ) -> tuple[int, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """The split behind `persistent_betti`, for clouds of every size.
+def _component_complexes(clouds: Sequence[PointCloud], r: float, r_outer: float, k: int
+                         ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The split behind `persistent_bettis`, for a batch of one or more clouds.
 
-    Returns the number of lone points (their classes, counted only for
-    k = 0), the component labels of the graph at 2*r_outer, and the
-    simplices up to dimension k+1 of every kept component with their values,
-    per dimension (`filtration._component_filtrations`). The batched build
-    is skipped, and the list is empty, when no component is kept.
+    The clouds' points are numbered one after another. Returns the cloud of
+    each component, the component labels of the points (the components of
+    K_{r_outer}'s 1-skeleton), and the simplices up to dimension k+1 of
+    every kept component with their values, per dimension
+    (`filtration._component_filtrations`). The batched build is skipped,
+    and the list is empty, when no component is kept.
     """
-    pairs = _tree_pairs(cloud, 2.0 * r_outer)
-    labels = _labels(len(cloud), pairs)
-    sizes = np.bincount(labels)
-    lone = int(np.count_nonzero(sizes == 1)) if k == 0 else 0
-    keep = sizes >= k + 2
+    dims = {cloud.dim for cloud in clouds}
+    if len(dims) > 1:
+        raise ValueError(f"clouds of one batch must share a dimension, got {sorted(dims)}")
+    sizes = [len(cloud) for cloud in clouds]
+    found = [_edge_pairs(cloud, r_outer) for cloud in clouds]
+    for (pairs, _), start in zip(found, np.cumsum(sizes) - sizes):
+        pairs += start  # the clouds' points are numbered one after another
+    pairs, values = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+    del found
+    n = sum(sizes)
+    labels = _labels(n, pairs)
+    owner = np.empty(int(labels.max()) + 1 if n else 0, dtype=np.intp)
+    owner[labels] = np.repeat(np.arange(len(clouds)), sizes)
+    counts = np.bincount(labels, minlength=len(owner))
+    keep = counts >= k + 2
     if k > 0:
-        # Keep a component only if its graph at 2r, a superset of the 1-skeleton
-        # of Cech_r (the slack covers rounding in edge values), has a cycle.
-        gaps = cloud.points[pairs[:, 0]] - cloud.points[pairs[:, 1]]
-        inner = pairs[np.einsum("ij,ij->i", gaps, gaps) <= (2.0 * r) * (2.0 * r) * (1.0 + 1e-9)]
-        inner_labels = _labels(len(cloud), inner)
-        outer_of = np.empty(int(inner_labels.max()) + 1, dtype=np.intp)
+        # Keep a component only if its 1-skeleton at r has a cycle.
+        inner = pairs[values <= r]
+        inner_labels = _labels(n, inner)
+        outer_of = np.empty(int(inner_labels.max()) + 1 if n else 0, dtype=np.intp)
         outer_of[inner_labels] = labels
-        cycles = (np.bincount(labels[inner[:, 0]], minlength=len(sizes)) - sizes
-                  + np.bincount(outer_of, minlength=len(sizes)))
+        cycles = (np.bincount(labels[inner[:, 0]], minlength=len(counts)) - counts
+                  + np.bincount(outer_of, minlength=len(counts)))
         keep &= cycles > 0
     if not keep.any():
-        return lone, labels, []
-    return lone, labels, _component_filtrations(cloud.points, pairs, labels, keep, r_outer, k + 1)
+        return owner, labels, []
+    points = clouds[0].points if len(clouds) == 1 else np.concatenate([c.points for c in clouds])
+    return owner, labels, _component_filtrations(points, pairs, values, labels, keep,
+                                                 r_outer, k + 1, owner)
 
 
 def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: np.ndarray,
@@ -332,10 +372,14 @@ def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: 
     if p == 2:
         sizes = np.bincount(component)
         base = (np.cumsum(sizes) - sizes)[labels[cofaces[:, 0]]]
-        for local, first in zip((rows - base[:, None]).tolist(), base.tolist()):
-            col = 0
-            for i in local:
-                col |= 1 << i
+        # Columns are built facet by facet, one list of ints per facet: a small
+        # list per column made this loop up to twice as slow on a batch of
+        # figure-1 clouds once other work had churned the heap.
+        local = (rows - base[:, None]).T.tolist()
+        cols = [1 << i for i in local[0]]
+        for facet in local[1:]:
+            cols = [col | (1 << i) for col, i in zip(cols, facet)]
+        for col, first in zip(cols, base.tolist()):
             _reduce_gf2(col, pivots, first)
     else:
         signs = [(-1) ** omit % p for omit in range(q + 1)]

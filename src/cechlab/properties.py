@@ -21,6 +21,14 @@ Isolation (`sep`) is read off the same component layer that splits
 closed) exactly when it is a union of connected components of the
 geometric graph at 2r. `subset_count` therefore grows p-point unions of
 components, never the cliques that isolation would reject.
+
+Indicators are stacked: a descriptor's indicator takes an array
+(m, p, d) of m configurations and returns m booleans. `zeta` ranks the
+whole stack with one `persistent_bettis` call; `iso_graph`, `spread`
+and `conn` loop over it. `subset_counts` grows the unions of every cloud
+of a batch and evaluates the base once on all of them, and
+`estimate_mu` evaluates all its configurations in one call; calling a
+descriptor on one configuration is the stack of one.
 """
 from __future__ import annotations
 
@@ -32,9 +40,9 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _brute_force_edges, _dist2, _tree_pairs, ball_volume,
-                       component_labels, geometric_graph)
-from .persistence import FieldSpec, GF2, persistent_betti
+from .geometry import (PointCloud, _brute_force_edges, _dist2, _rows_dist2, _tree_pairs,
+                       ball_volume, component_labels, geometric_graph)
+from .persistence import FieldSpec, GF2, persistent_bettis
 from .sampling import Density, sample_binomial, sample_in_ball, sample_poisson
 
 __all__ = [
@@ -52,6 +60,7 @@ __all__ = [
     "trivial_context",
     "count_property",
     "subset_count",
+    "subset_counts",
     "component_count",
     "estimate_mu",
     "MuEstimate",
@@ -186,16 +195,17 @@ def _graphs_isomorphic(gamma: SmallGraph, edges: Collection[tuple[int, int]], n:
 class PropertyDescriptor:
     """Finite geometric property: indicator on point sets of a fixed arity.
 
-    Indicators must be translation invariant and scaling equivariant in
-    (r, Y); `diam_factor` is the locality constant C with
-    indicator(Y) = 1 => diam(Y) <= C * scale * arity.
+    The indicator takes a stack (m, p, d) of m configurations and returns m
+    booleans (a scalar is taken for all m). Indicators must be translation
+    invariant and scaling equivariant in (r, Y); `diam_factor` is the
+    locality constant C with indicator(Y) = 1 => diam(Y) <= C * scale * arity.
     """
 
     name: str
     arity: int
     scale: float
     diam_factor: float
-    indicator: Callable[[np.ndarray], bool]
+    indicator: Callable[[np.ndarray], np.ndarray | bool]
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -211,7 +221,14 @@ class PropertyDescriptor:
         points = np.asarray(points, dtype=np.float64)
         if points.shape[0] != self.arity:
             return 0
-        return int(bool(self.indicator(points)))
+        return int(np.ravel(self.indicator(points[None]))[0])
+
+    def holds(self, stack: np.ndarray) -> np.ndarray:
+        """The indicator on each configuration of a stack (m, arity, d), as m booleans."""
+        stack = np.asarray(stack, dtype=np.float64)
+        if not len(stack):
+            return np.zeros(0, dtype=bool)
+        return np.broadcast_to(np.asarray(self.indicator(stack), dtype=bool), (len(stack),))
 
     def locality_radius(self) -> float:
         return self.diam_factor * self.scale * self.arity
@@ -282,8 +299,7 @@ def trivial_context() -> ContextIndicator:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_dist2(points: np.ndarray) -> list[float]:
-    pts = points.tolist()
+def _pairwise_dist2(pts: list[list[float]]) -> list[float]:
     return [_dist2(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
 
 
@@ -315,8 +331,8 @@ def iso_graph(gamma: SmallGraph, r: float, p: int) -> PropertyDescriptor:
     if not gamma.is_connected():
         raise ValueError("isomorphism templates must be connected")
 
-    def indicator(points: np.ndarray) -> bool:
-        return _graphs_isomorphic(gamma, _brute_force_edges(points.tolist(), r), p)
+    def indicator(stack: np.ndarray) -> list[bool]:
+        return [_graphs_isomorphic(gamma, _brute_force_edges(pts, r), p) for pts in stack.tolist()]
 
     return PropertyDescriptor(name=f"iso[{gamma.n}v{len(gamma.edges)}e]", arity=p,
                               scale=r, diam_factor=1.0, indicator=indicator)
@@ -325,11 +341,12 @@ def iso_graph(gamma: SmallGraph, r: float, p: int) -> PropertyDescriptor:
 def spread(r: float, p: int) -> PropertyDescriptor:
     """All pairwise gaps exceed r while the diameter stays within r*p."""
 
-    def indicator(points: np.ndarray) -> bool:
-        lo2 = r * r
-        hi2 = (r * p) * (r * p)
-        d2s = _pairwise_dist2(points)
-        return all(d2 > lo2 for d2 in d2s) and all(d2 <= hi2 for d2 in d2s)
+    lo2 = r * r
+    hi2 = (r * p) * (r * p)
+
+    def indicator(stack: np.ndarray) -> list[bool]:
+        d2s = [_pairwise_dist2(pts) for pts in stack.tolist()]
+        return [all(d2 > lo2 for d2 in row) and all(d2 <= hi2 for d2 in row) for row in d2s]
 
     return PropertyDescriptor(name="spread", arity=p, scale=r, diam_factor=1.0,
                               indicator=indicator)
@@ -342,8 +359,8 @@ def conn(r: float, p: int) -> PropertyDescriptor:
     diameter 2r(p-1).
     """
 
-    def indicator(points: np.ndarray) -> bool:
-        return _connected(points.shape[0], _brute_force_edges(points.tolist(), 2.0 * r))
+    def indicator(stack: np.ndarray) -> list[bool]:
+        return [_connected(p, _brute_force_edges(pts, 2.0 * r)) for pts in stack.tolist()]
 
     return PropertyDescriptor(name="conn", arity=p, scale=r, diam_factor=2.0,
                               indicator=indicator)
@@ -380,12 +397,18 @@ def zeta(r: float, p: int, theta: float, k: int,
     if k < 1:
         raise ValueError(f"cycle degree must be at least 1, got {k}")
     cap = 2.0 * theta * r * p
+    first, second = np.triu_indices(p, 1)
 
-    def indicator(points: np.ndarray) -> bool:
-        if any(d2 > cap * cap for d2 in _pairwise_dist2(points)):
-            return False
-        cloud = PointCloud(points.shape[1], points)
-        return persistent_betti(cloud, r, theta, k, field_spec) >= 1
+    def indicator(stack: np.ndarray) -> np.ndarray:
+        # `_rows_dist2` sums as `_dist2` does, so the clamp is the scalar one.
+        gaps = _rows_dist2(stack[:, first].reshape(-1, stack.shape[2]),
+                           stack[:, second].reshape(-1, stack.shape[2]))
+        local = ~(gaps.reshape(len(stack), -1) > cap * cap).any(axis=1)
+        ranks = persistent_bettis([PointCloud(stack.shape[2], pts) for pts in stack[local]],
+                                  r, theta, k, field_spec)
+        held = np.zeros(len(stack), dtype=bool)
+        held[local] = ranks >= 1
+        return held
 
     return PropertyDescriptor(name=f"zeta[k={k},theta={theta:g}]", arity=p, scale=r,
                               diam_factor=2.0 * theta, indicator=indicator)
@@ -422,33 +445,63 @@ def _iter_cliques(adjacency_above: Sequence[set[int]], size: int) -> Iterator[tu
 
 
 def count_property(g: PropertyDescriptor, cloud: PointCloud) -> int:
-    """Number of p-subsets satisfying g; locality-pruned, exact."""
+    """Number of p-subsets satisfying g; locality-pruned, exact.
+
+    The cliques at the locality radius are evaluated in one stacked call.
+    """
     if g.arity > len(cloud):
         return 0
     graph = geometric_graph(cloud, g.locality_radius())
     above = [set(nbrs) for nbrs in graph.adjacency_above]
-    pts = cloud.points
-    return sum(g(pts[list(idx)]) for idx in _iter_cliques(above, g.arity))
+    cliques = np.array(list(_iter_cliques(above, g.arity)), dtype=np.intp).reshape(-1, g.arity)
+    return int(np.count_nonzero(g.holds(cloud.points[cliques])))
 
 
 def subset_count(h: SubsetPropertyDescriptor, cloud: PointCloud) -> int:
-    """Number of p-subsets satisfying the base property within its context.
+    """Number of p-subsets of the cloud satisfying the base property within its context.
 
-    An isolated subset is a union of components of the context's graph, and
-    a qualifying one is also a clique of the geometric graph at the base's
-    locality radius. So the count keeps the components that can take part in
-    such a union (p points, or fewer and an edge at the locality radius to a
-    component that fits beside them), grows unions of them in ascending label
-    order, drops a branch as soon as a component is not adjacent there to
-    every point already chosen, and evaluates the base on each union of
-    exactly p points, indices ascending. These are the isolated p-cliques,
-    the same sets a clique count would keep.
+    `subset_counts` on a batch of one cloud.
+    """
+    return int(subset_counts(h, [cloud])[0])
+
+
+def subset_counts(h: SubsetPropertyDescriptor, clouds: Sequence[PointCloud]) -> np.ndarray:
+    """`subset_count` of each cloud of a batch, with one base evaluation for all of them.
+
+    Each cloud's isolated p-unions are grown as `_isolated_unions` says;
+    the base is then evaluated once, on the stack of the unions of every
+    cloud, and its hits are summed per cloud. With the trivial context each
+    cloud is a `count_property`. Returns one count per cloud, as an int64
+    array.
     """
     base, p = h.base, h.arity
     if h.context.trivial:
-        return count_property(base, cloud)
+        return np.array([count_property(base, cloud) for cloud in clouds], dtype=np.int64)
+    unions = [_isolated_unions(h, cloud) for cloud in clouds]
+    if not unions:
+        return np.zeros(0, dtype=np.int64)
+    stack = np.concatenate([cloud.points[np.array(found, dtype=np.intp).reshape(-1, p)]
+                            for cloud, found in zip(clouds, unions)])
+    owner = np.repeat(np.arange(len(clouds)), [len(found) for found in unions])
+    return np.bincount(owner[base.holds(stack)], minlength=len(clouds))
+
+
+def _isolated_unions(h: SubsetPropertyDescriptor, cloud: PointCloud) -> list[list[int]]:
+    """The p-subsets of the cloud, indices ascending, that the base of h is evaluated on.
+
+    An isolated subset is a union of components of the context's graph, and
+    a qualifying one is also a clique of the geometric graph at the base's
+    locality radius. So this keeps the components that can take part in such
+    a union (p points, or fewer and an edge at the locality radius to a
+    component that fits beside them), grows unions of them in ascending
+    label order, drops a branch as soon as a component is not adjacent there
+    to every point already chosen, and returns each union of exactly p
+    points. These are the isolated p-cliques, the same sets a clique count
+    would keep.
+    """
+    base, p = h.base, h.arity
     if p > len(cloud):
-        return 0
+        return []
     labels = h.context.labels(cloud)
     sizes = np.bincount(labels)
     pairs = _tree_pairs(cloud, base.locality_radius())
@@ -474,23 +527,21 @@ def subset_count(h: SubsetPropertyDescriptor, cloud: PointCloud) -> int:
     piece_of = {i: c for c, piece in enumerate(pieces) for i in piece}
     kept = set(piece_of)
     reach = [set.intersection(*(adjacent[i] for i in piece)) & kept for piece in pieces]
-    pts = cloud.points
-    total = 0
+    unions: list[list[int]] = []
 
     def grow(last: int, chosen: list[int], allowed: set[int]) -> None:
-        nonlocal total
         for c in sorted({piece_of[i] for i in allowed if piece_of[i] > last}):
             piece = pieces[c]
             if len(chosen) + len(piece) > p or not allowed.issuperset(piece):
                 continue
             union = chosen + piece
             if len(union) == p:
-                total += base(pts[sorted(union)])
+                unions.append(sorted(union))
             else:
                 grow(c, union, allowed & reach[c])
 
     grow(-1, [], kept)
-    return total
+    return unions
 
 
 def component_count(gamma: SmallGraph, cloud: PointCloud, r: float) -> int:
@@ -525,7 +576,9 @@ def estimate_mu(g: PropertyDescriptor, f: Density, samples: int,
 
     The descriptor must be normalized to scale r = 1. One point is drawn
     from f (importance sampling for the f^p factor), the other p-1
-    uniformly from the locality ball of radius C*p about the origin.
+    uniformly from the locality ball of radius C*p about the origin. The
+    configurations are drawn one sample at a time, in that order, and the
+    indicator is evaluated on all of them in one stacked call.
     """
     if g.scale != 1.0:
         raise ValueError(f"estimate_mu expects a descriptor at scale 1, got {g.scale}")
@@ -535,19 +588,16 @@ def estimate_mu(g: PropertyDescriptor, f: Density, samples: int,
     d = f.dim
     radius = g.diam_factor * p
     weight = ball_volume(d, radius) ** (p - 1) / math.factorial(p)
-    values = np.empty(samples, dtype=np.float64)
     anchors = sample_binomial(samples, f, rng).points
-    origin = np.zeros((1, d))
+    factors = np.zeros(samples)
+    configs = np.zeros((samples, p, d))  # the first point of each at the origin
     for i in range(samples):
-        density_factor = f(anchors[i]) ** (p - 1)
-        if density_factor == 0.0:
-            values[i] = 0.0
-            continue
-        if p == 1:
-            config = origin
-        else:
-            config = np.vstack([origin, sample_in_ball(p - 1, d, radius, rng)])
-        values[i] = weight * density_factor * g(config)
+        factors[i] = f(anchors[i]) ** (p - 1)
+        if factors[i] != 0.0 and p > 1:
+            configs[i, 1:] = sample_in_ball(p - 1, d, radius, rng)
+    live = factors != 0.0
+    values = np.zeros(samples)
+    values[live] = weight * factors[live] * g.holds(configs[live])
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MuEstimate(mean, se)

@@ -2,7 +2,8 @@
 
 The package builds every filtration with the batched
 `filtration._component_filtrations`. This builder shares none of its
-simplex code: it takes the cloud's geometric graph at 2*r_max, keeps an
+simplex code: it takes the cloud's geometric graph at 2*r_max, widened by
+a relative 1e-9 so that rounding in (2*r_max)**2 drops no pair, keeps an
 edge when half the root of its squared length (`_dist2`) is <= r_max, and
 grows every larger simplex from its facets with its own loop, valued at
 the largest of its miniball radius and its facets' values.
@@ -26,7 +27,7 @@ def cech_simplices(cloud: PointCloud, r_max: float,
         yield (i,), 0.0
     if max_dim == 0 or n < 2:
         return
-    graph = geometric_graph(cloud, 2.0 * r_max)
+    graph = geometric_graph(cloud, 2.0 * r_max * (1.0 + 1e-9))
     above = [set(nbrs) for nbrs in graph.adjacency_above]
     values: dict[tuple[int, ...], float] = {}
     for i, j in graph.edges:

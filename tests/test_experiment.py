@@ -15,12 +15,13 @@ import pytest
 
 from cechlab import cli, experiment
 from cechlab.errors import AuditError, ConfigurationError
-from cechlab.experiment import (ExperimentSpec, audit_csv, fit_csv,
+from cechlab.experiment import (AuditRow, ExperimentSpec, ResultRow, audit_csv, fit_csv,
                                 fit_exponent, lower_bound_audit,
                                 manifest_payload, predicted_exponent,
                                 results_csv, run_experiment, write_manifest)
+from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
-from cechlab.persistence import compute_persistence
+from cechlab.persistence import compute_persistence, persistent_betti
 from cechlab.render import render_balls
 from cechlab.sampling import Density, sample_poisson, stream
 from scalar_cech import scalar_build
@@ -181,29 +182,69 @@ def _outcome(call) -> tuple[str, str]:
     return type(info.value).__name__, str(info.value)
 
 
+def _splits(monkeypatch):
+    """Run on 1, 2 and 3 cores with whole chunks as batches, then on 2 with batches of one.
+
+    Yields the label of each setting and the list of forked pids.
+    """
+    for cores in ({0}, {0, 1}, {0, 1, 2}):
+        yield len(cores), _on_cores(monkeypatch, cores)
+    monkeypatch.setattr(experiment, "_BATCH_POINTS", 0)
+    yield "one", _on_cores(monkeypatch, {0, 1})
+
+
 def test_split_experiment_is_byte_identical_to_serial(monkeypatch):
     specs = [_small_spec(k=0, n_grid=(5.0, 10.0, 20.0, 50.0), trials=6),
-             _small_spec(k=0, target_rel_se=0.02, max_trials=40)]  # adaptive batches
+             _small_spec(k=0, target_rel_se=0.02, max_trials=40),  # adaptive batches
+             _small_spec(k=1, n_grid=(20.0, 40.0), trials=9, c=0.6, q=-0.6)]
     outputs = {}
-    for cores in ({0}, {0, 1}, {0, 1, 2}):
-        forked = _on_cores(monkeypatch, cores)
+    for label, forked in _splits(monkeypatch):
         results = [run_experiment(spec, m=3) for spec in specs]
-        outputs[len(cores)] = [(results_csv(r), fit_csv(r)) for r in results]
-        assert bool(forked) == (len(cores) > 1)
-    assert outputs[1] == outputs[2] == outputs[3]
+        outputs[label] = [(results_csv(r), fit_csv(r)) for r in results]
+        assert bool(forked) == (label != 1)
+    assert outputs[1] == outputs[2] == outputs[3] == outputs["one"]
     assert [line.split(",")[-1] for line in outputs[1][1][0].splitlines()[1:]] == ["40", "40"]
     assert "nan" not in outputs[1][0][1]
+    assert any(float(line.split(",")[2]) > 0.0 for line in outputs[1][2][0].splitlines()[1:])
 
 
 def test_split_audit_is_byte_identical_to_serial(monkeypatch, tmp_path):
     spec = _small_spec(n_grid=(6.0, 12.0), trials=30, c=0.35)
     tables = {}
-    for cores in ({0}, {0, 1}):
-        forked = _on_cores(monkeypatch, cores)
-        tables[len(cores)] = audit_csv(lower_bound_audit(spec, m=3, dump_dir=tmp_path))
-        assert bool(forked) == (len(cores) > 1)
-    assert tables[1] == tables[2]
+    for label, forked in _splits(monkeypatch):
+        tables[label] = audit_csv(lower_bound_audit(spec, m=3, dump_dir=tmp_path))
+        assert bool(forked) == (label != 1)
+    assert tables[1] == tables[2] == tables[3] == tables["one"]
     assert not list(tmp_path.iterdir())
+
+
+def test_rows_pickle_through_the_split(monkeypatch):
+    # Rows are slotted, so a table of them takes about half the memory; they
+    # must still come back from a forked child intact.
+    row = AuditRow(n=20.0, trial=3, isolated_cycles=1, persistent_betti=2)
+    assert not hasattr(row, "__dict__")
+    assert not hasattr(ResultRow(n=1.0, r=0.1, mean_betti=0.5, se=0.1, trials=4), "__dict__")
+
+    def rows(batch: range) -> list:
+        return [(AuditRow(n=20.0, trial=t, isolated_cycles=t % 2, persistent_betti=t),
+                 ResultRow(n=float(t), r=0.1, mean_betti=t / 2, se=0.0, trials=t))
+                for t in batch]
+
+    forked = _on_cores(monkeypatch, {0, 1})
+    assert experiment._map_trials(rows, range(7), 20.0) == rows(range(7))
+    assert len(forked) == 1
+
+
+def test_a_batch_that_raises_only_as_a_whole_gives_its_trials_run_alone(monkeypatch):
+    # As the triangle cap would if it counted a batch rather than a cloud.
+    def squares(batch: range) -> list[int]:
+        if len(batch) > 1:
+            raise ConfigurationError("batch too large")
+        return [t * t for t in batch]
+
+    for cores in ({0}, {0, 1}):
+        _on_cores(monkeypatch, cores)
+        assert experiment._map_trials(squares, range(9), 1e4) == [t * t for t in range(9)]
 
 
 def test_no_fork_while_other_threads_run(monkeypatch):
@@ -253,13 +294,13 @@ def test_an_audit_violation_dumps_and_raises_as_serial(monkeypatch, tmp_path, pl
     clouds = {sample_poisson(12.0, spec.density, stream(spec.seed, 0, t)).points.tobytes(): t
               for t in planted}
 
-    def planted_count(h, cloud):
-        t = clouds.get(cloud.points.tobytes())
-        if t == 3:
+    def planted_counts(h, batch):
+        ts = [clouds.get(cloud.points.tobytes()) for cloud in batch]
+        if 3 in ts:
             time.sleep(0.3)
-        return 0 if t is None else 99
+        return np.array([0 if t is None else 99 for t in ts])
 
-    monkeypatch.setattr(experiment, "subset_count", planted_count)
+    monkeypatch.setattr(experiment, "subset_counts", planted_counts)
     outcomes = {}
     for cores in ({0}, {0, 1}):
         forked = _on_cores(monkeypatch, cores)
@@ -404,6 +445,21 @@ def test_cli_persistence_rejects_a_dense_cloud(tmp_path, capsys):
                      "--out", str(diagram_path)]) == 1
     assert "candidate triangles" in capsys.readouterr().err
     assert not diagram_path.exists()
+
+
+def test_one_cloud_over_the_triangle_cap_is_refused_alike_everywhere(tmp_path, capsys):
+    # The same 400-point clique: the builder, the rank and the CLI's betti
+    # command all refuse it with the cloud's own count.
+    cloud = PointCloud(2, np.random.default_rng(101).random((400, 2)))
+    message = _outcome(lambda: build_cech_filtration(cloud, 1.0, 2))
+    assert message == ("ConfigurationError", "the filtration needs 10586800 candidate "
+                       "triangles, above the cap of 5000000")
+    assert _outcome(lambda: persistent_betti(cloud, 0.5, 2.0, 1)) == message
+    cloud_path = tmp_path / "cloud.txt"
+    cloud.save(cloud_path)
+    assert cli.main(["betti", "--cloud", str(cloud_path), "--r", "0.5", "--theta", "2",
+                     "--k", "1"]) == 1
+    assert message[1] in capsys.readouterr().err
 
 
 def test_cli_experiment_with_config_is_reproducible(tmp_path):

@@ -7,11 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from cechlab import filtration
+from cechlab.errors import ConfigurationError
 from cechlab.filtration import build_cech_filtration
-from cechlab.geometry import PointCloud, miniball
+from cechlab.geometry import PointCloud, _dist2, miniball
 from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, _component_complexes,
                                  betti, compute_persistence, persistent_betti,
-                                 persistent_betti_oracle)
+                                 persistent_betti_oracle, persistent_bettis)
+from cechlab.sampling import Density, sample_poisson, stream
 from scalar_cech import scalar_build
 
 
@@ -263,7 +266,7 @@ def _assert_components_match_build(cloud: PointCloud, r: float, theta: float, k:
 
     Returns how many components were compared.
     """
-    _, labels, simplices = _component_complexes(cloud, r, theta * r, k)
+    _, labels, simplices = _component_complexes([cloud], r, theta * r, k)
     if not simplices:
         return 0
     assert len(simplices) == k + 2
@@ -358,6 +361,109 @@ def test_oracle_takes_the_filtration_edge_value_at_a_thales_tie():
     r = 0.0485
     assert miniball(cloud.points[:2]).radius <= r < 0.5 * math.dist(*cloud.points[:2])
     assert betti(cloud, r, 1) == persistent_betti_oracle(cloud, r, 1.0, 1) == 1
+
+
+def test_an_edge_at_exactly_r_max_is_in_the_complex():
+    # (2v)*(2v) rounds below this pair's squared length, so a neighbour test on
+    # squared lengths alone dropped the edge at its own value v.
+    cloud = PointCloud.from_points([(0.5495936876730595, 0.027559113243068367),
+                                    (0.7535131086748066, 0.5381433132192782)])
+    v = 0.5 * math.sqrt(_dist2(*cloud.as_tuples))
+    assert v == 0.27489968876257115 and (2.0 * v) * (2.0 * v) < _dist2(*cloud.as_tuples)
+    assert build_cech_filtration(cloud, v, 1).dimension_counts() == {0: 2, 1: 1}
+    assert betti(cloud, v, 0) == persistent_betti_oracle(cloud, v, 1.0, 0) == 1
+    # Random pairs, each at its own edge value: the oracle's convention, where
+    # a value equal to the radius is in.
+    for pair in np.random.default_rng(1).random((20_000, 2, 2)):
+        cloud = PointCloud(2, pair)
+        v = 0.5 * math.sqrt(_dist2(*cloud.as_tuples))
+        assert betti(cloud, v, 0) == persistent_betti_oracle(cloud, v, 1.0, 0) == 1, \
+            pair.tolist()
+
+
+def _octagon(r: float, centre: float) -> np.ndarray:
+    """A regular octagon whose edges are born just below r (death/birth ~ 2.6)."""
+    angles = np.arange(8) * math.pi / 4.0
+    radius = 0.999 * r / math.sin(math.pi / 8.0)
+    return centre + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _chain(n: int, gap: float) -> np.ndarray:
+    return np.column_stack([np.arange(n) * gap, np.zeros(n)])
+
+
+def test_persistent_bettis_match_the_oracle_per_cloud():
+    # One batch mixes every kind of cloud; each rank must be its cloud's own.
+    rng = np.random.default_rng(139)
+    r = 0.125
+    square = np.array([(i, j) for i in range(4) for j in range(4)]) * 2.0 * r
+    clouds = [PointCloud.from_points([], dim=2),
+              PointCloud.from_points([(0.3, 0.4)]),
+              PointCloud(2, np.array([(0.0, 0.0), (5.0, 5.0), (9.0, 0.0)])),  # no kept component
+              PointCloud(2, _chain(4, 1.5 * r)),  # a tree: no kept component for k >= 1
+              PointCloud(2, _octagon(r, 0.5)),
+              PointCloud(2, np.vstack([_octagon(r, 2.0), rng.random((6, 2))])),
+              PointCloud(2, square[rng.random(16) < 0.8]),  # edges at exactly r
+              PointCloud(2, square[rng.random(16) < 0.8]),
+              PointCloud(2, rng.random((12, 2))),
+              PointCloud(2, rng.random((16, 2)))]
+    nonzero = {0: 0, 1: 0, 2: 0}
+    for theta in (1.0, 1.2, 1.4, 2.0):
+        for k in (0, 1, 2):
+            for p in (2, 3):
+                ranks = persistent_bettis(clouds, r, theta, k, FieldSpec(p))
+                assert ranks.tolist() == [persistent_betti_oracle(cloud, r, theta, k, FieldSpec(p))
+                                          for cloud in clouds], (theta, k, p)
+                nonzero[k] += int(np.count_nonzero(ranks))
+    assert nonzero[0] and nonzero[1]
+    # d = 3: a hollow octahedron carries a 2-cycle on [0.816a, a) with a = 1.22r.
+    octahedron = 0.5 + np.vstack([np.eye(3), -np.eye(3)]) * 1.22 * r
+    clouds = [PointCloud(3, octahedron), PointCloud(3, rng.random((10, 3))),
+              PointCloud.from_points([], dim=3)]
+    for theta in (1.0, 1.2):
+        ranks = persistent_bettis(clouds, r, theta, 2)
+        assert ranks.tolist() == [persistent_betti_oracle(cloud, r, theta, 2) for cloud in clouds]
+        assert ranks[0] == 1
+    assert persistent_bettis([], r, 1.2, 1).tolist() == []
+    with pytest.raises(ValueError, match="dimension"):
+        persistent_bettis(clouds[:2] + [PointCloud(2, square)], r, 1.2, 1)
+
+
+def test_persistent_bettis_equal_batches_of_one_on_figure1_clouds():
+    box = Density.uniform_box([(-1.0, 1.0), (-1.0, 1.0)])
+    for n, trials in ((1e3, 6), (1e4, 2)):
+        r = 2.6 * n ** (-2.0 / 3.0)
+        clouds = [sample_poisson(n, box, stream(17, int(n), t)) for t in range(trials)]
+        for k in (0, 1, 2):
+            assert persistent_bettis(clouds, r, 1.4, k).tolist() == \
+                [persistent_betti(cloud, r, 1.4, k) for cloud in clouds], (n, k)
+
+
+def test_triangle_cap_counts_per_cloud(monkeypatch):
+    # Each cloud is under the cap and the batch together over it: the batch
+    # gives every cloud's own rank, from runs of edges under the cap.
+    rng = np.random.default_rng(149)
+    clouds = [PointCloud(2, rng.random((12, 2))) for _ in range(10)]
+    alone = [persistent_betti(cloud, 0.2, 1.5, 1) for cloud in clouds]
+    candidates = []  # each cloud is one component with a cycle, so all are built
+    for cloud in clouds:
+        pairs, _ = filtration._edge_pairs(cloud, 0.3)
+        candidates.append(int(np.bincount(pairs[:, 0], minlength=12)[pairs[:, 1]].sum()))
+    assert max(candidates) <= 150 < sum(candidates)
+    monkeypatch.setattr(filtration, "_MAX_TRIANGLE_CANDIDATES", 150)
+    assert persistent_bettis(clouds, 0.2, 1.5, 1).tolist() == alone
+    # One cloud over the cap is refused with its own count, alone or in a batch.
+    dense = PointCloud(2, rng.random((40, 2)))
+    message = _outcome(lambda: build_cech_filtration(dense, 1.0, 2))
+    assert "candidate triangles" in message
+    assert _outcome(lambda: persistent_betti(dense, 0.5, 2.0, 1)) == message
+    assert _outcome(lambda: persistent_bettis(clouds[:3] + [dense], 0.5, 2.0, 1)) == message
+
+
+def _outcome(call) -> str:
+    with pytest.raises(ConfigurationError) as info:
+        call()
+    return str(info.value)
 
 
 def test_persistent_betti_monotone_in_theta():

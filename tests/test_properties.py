@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cechlab.errors import ConfigurationError
-from cechlab.geometry import PointCloud, geometric_graph
+from cechlab.geometry import PointCloud, ball_volume, geometric_graph
 from cechlab.persistence import persistent_betti
 from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
                                 _graphs_isomorphic, _three_sigma_overlap,
@@ -17,8 +17,9 @@ from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
                                 convergence_diagnostic, count_property,
                                 diagnostic_rows_to_csv, estimate_mu,
                                 iso_graph, palm_check, sep, spread,
-                                subset_count, trivial_context, upsilon, zeta)
-from cechlab.sampling import Density, sample_poisson, stream
+                                subset_count, subset_counts, trivial_context, upsilon,
+                                zeta)
+from cechlab.sampling import Density, sample_binomial, sample_in_ball, sample_poisson, stream
 
 
 def _square(side: float = 1.0) -> np.ndarray:
@@ -318,6 +319,32 @@ def test_counts_match_exhaustive_enumeration():
             assert subset_count(h, cloud) == _brute_subset_count(h, cloud)
 
 
+def test_subset_counts_of_a_batch_match_exhaustive_enumeration():
+    # One base evaluation serves the unions of every cloud of the batch.
+    rng = np.random.default_rng(151)
+    clouds = [PointCloud.from_points([], dim=2), PointCloud.from_points([(0.5, 0.5)])]
+    clouds += [PointCloud(2, rng.random((int(rng.integers(3, 13)), 2))) for _ in range(20)]
+    for h in (comp(0.15, 2), comp(0.2, 3), upsilon(0.25, 3, 1.1, 1), upsilon(0.2, 4, 1.2, 1),
+              sep(0.25) * iso_graph(SmallGraph.complete(2), 0.25, 2),
+              trivial_context() * conn(0.15, 2)):
+        counts = subset_counts(h, clouds)
+        assert counts.tolist() == [_brute_subset_count(h, cloud) for cloud in clouds], h.name
+        assert counts.tolist() == [subset_count(h, cloud) for cloud in clouds]
+    assert subset_counts(comp(0.15, 2), []).tolist() == []
+
+
+def test_stacked_indicators_equal_one_configuration_at_a_time():
+    rng = np.random.default_rng(157)
+    for g in (iso_graph(SmallGraph.path(3), 0.25, 3), conn(0.15, 3), spread(0.2, 3),
+              zeta(0.25, 3, 1.1, 1), zeta(0.2, 4, 1.2, 1)):
+        stack = rng.random((200, g.arity, 2)) * 0.6
+        held = g.holds(stack)
+        assert held.dtype == bool and held.shape == (200,)
+        assert held.tolist() == [bool(g(config)) for config in stack]
+        assert g.holds(stack[:0]).tolist() == []
+    assert _accept_all(1.0, 2, 1.0).holds(np.zeros((3, 2, 2))).tolist() == [True] * 3
+
+
 def _accept_all(r: float, p: int, factor: float) -> PropertyDescriptor:
     """Accepts every p-set, so a count of it counts the candidates themselves.
 
@@ -513,6 +540,42 @@ def test_estimate_mu_matches_closed_forms():
     assert abs(pairs.value - math.pi / 2.0) <= 4.0 * pairs.std_error
     connected = estimate_mu(conn(1.0, 2), f, 40_000, stream(103))
     assert abs(connected.value - 2.0 * math.pi) <= 4.0 * connected.std_error
+
+
+def _estimate_mu_one_at_a_time(g: PropertyDescriptor, f: Density, samples: int,
+                               rng: np.random.Generator) -> tuple[float, float]:
+    """The per-sample loop `estimate_mu` stacks: same draws, one call per configuration."""
+    p, d = g.arity, f.dim
+    radius = g.diam_factor * p
+    weight = ball_volume(d, radius) ** (p - 1) / math.factorial(p)
+    values = np.empty(samples)
+    anchors = sample_binomial(samples, f, rng).points
+    for i in range(samples):
+        density_factor = f(anchors[i]) ** (p - 1)
+        if density_factor == 0.0:
+            values[i] = 0.0
+            continue
+        config = np.zeros((p, d))
+        if p > 1:
+            config[1:] = sample_in_ball(p - 1, d, radius, rng)
+        values[i] = weight * density_factor * g(config)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
+
+
+def test_estimate_mu_is_the_per_sample_loop_bit_for_bit():
+    # A density with a hole makes some anchors draw no configuration.
+    holed = Density.custom([(0.0, 1.0), (0.0, 1.0)], 2.0,
+                           lambda x: 0.0 if x[0] < 0.3 else 1.0 + float(x[1]))
+    square = Density.unit_cube(2)
+    for g, f, samples, seed, hit in ((iso_graph(SmallGraph.complete(2), 1.0, 2), square,
+                                      3000, 163, True),
+                                     (conn(1.0, 3), holed, 2000, 167, True),
+                                     (zeta(1.0, 3, 1.0, 1), square, 10_000, 173, True),
+                                     (zeta(1.0, 4, 1.2, 1), holed, 2000, 179, False)):
+        est = estimate_mu(g, f, samples, stream(seed))
+        assert (est.value, est.std_error) == _estimate_mu_one_at_a_time(g, f, samples,
+                                                                        stream(seed))
+        assert est.value > 0.0 or not hit, g.name
 
 
 def test_estimate_mu_degenerate_and_invalid():
