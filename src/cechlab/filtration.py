@@ -21,18 +21,14 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import PointCloud, _rows_dist2, _tree_pairs, _triangle_radii, miniball
+from .geometry import PointCloud, _near_pairs, _triangle_radii, miniball
 
 __all__ = ["FilteredComplex", "build_cech_filtration"]
-
-# Relative slack of the neighbour query behind `_edge_pairs`; the edge value
-# test that follows it is exact.
-_QUERY_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,19 +119,19 @@ def _cofaces(pts: np.ndarray, above: Mapping[int, set[int]],
         frontier = next_frontier
 
 
-def _edge_pairs(cloud: PointCloud, r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of Cech_{r_max}: pairs i < j of value <= r_max, and their values.
+def _edge_pairs(points: np.ndarray, sizes: Sequence[int],
+                r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of Cech_{r_max} in each cloud of a batch: pairs i < j of value <= r_max.
 
-    An edge's value is half the root of its squared length (`_rows_dist2`,
-    the squared distance `_dist2` takes). The neighbour query runs with a
-    relative slack, so rounding in the k-d tree or in (2*r_max)**2 never
-    drops an edge whose value is exactly r_max; the value test decides.
-    Pairs are in no fixed order.
+    The clouds are stacked as `geometry._near_pairs` takes them, and pairs
+    index the stack. An edge's value is half the root of its squared length
+    (`_rows_dist2`, the squared distance `_dist2` takes). The neighbour
+    query runs with a relative slack, so rounding in the k-d tree or in
+    (2*r_max)**2 never drops an edge whose value is exactly r_max; the value
+    test decides. Returns the pairs, in no fixed order, and their values.
     """
-    if len(cloud) < 2:
-        return np.zeros((0, 2), dtype=np.intp), np.zeros(0)
-    pairs = _tree_pairs(cloud, 2.0 * r_max * _QUERY_SLACK)
-    values = 0.5 * np.sqrt(_rows_dist2(cloud.points[pairs[:, 0]], cloud.points[pairs[:, 1]]))
+    pairs, d2 = _near_pairs(points, sizes, 2.0 * r_max)
+    values = 0.5 * np.sqrt(d2)
     inside = values <= r_max
     return pairs[inside], values[inside]
 
@@ -262,7 +258,7 @@ def _build(cloud: PointCloud, r_max: float, max_dim: int, force: bool = False) -
             f"max_dim={max_dim} exceeds the ambient dimension {cloud.dim}; "
             "degree-k homology needs simplices only up to dimension k+1 <= d. "
             "Pass force=True to build anyway.")
-    parts = _component_filtrations(cloud.points, *_edge_pairs(cloud, r_max),
+    parts = _component_filtrations(cloud.points, *_edge_pairs(cloud.points, [len(cloud)], r_max),
                                    np.zeros(len(cloud), dtype=np.intp), np.array([True]),
                                    r_max, max_dim, np.array([0]))
     simplices = sorted(((verts, value) for rows, values in parts

@@ -19,9 +19,10 @@ exactly r does not count.
 `persistent_betti` sums over connected components. The Cech complex at
 theta*r is the disjoint union of its pieces over the components of its
 1-skeleton: the pairs whose edge value, half the root of their squared
-distance, is <= theta*r (`filtration._edge_pairs`: a k-d tree query with
-a relative slack, then that exact test). The complex at r sits inside it
-piece by piece, so the rank is the sum of the per-component ranks. In
+distance, is <= theta*r (`filtration._edge_pairs`: the neighbour
+layer's k-d tree query with a relative slack, then that exact test).
+The complex at r sits inside it piece by piece, so the rank is the sum
+of the per-component ranks. In
 degree 0 each component carries one class. A degree-k class with k >= 1
 needs at least k+2 points (the boundary of a (k+1)-simplex is the
 smallest k-cycle) and a cycle in the 1-skeleton at r: where that graph
@@ -38,11 +39,13 @@ those built from its component as a sub-cloud. `geometry._labels`
 labels the components in numpy.
 
 `persistent_bettis` runs all of this on a batch of clouds: their points
-are numbered one after another (each cloud's pairs offset by its first
-index), so components never mix, and one labelling, one batched build
-and one reduction serve every cloud. Each term of the rank below is a
-sum over components, so `np.bincount` over the cloud of each simplex
-splits it per cloud. `persistent_betti` is the batch of one.
+are stacked one after another, and one neighbour pass finds the edges
+of every cloud (`geometry._near_pairs`: tiny clouds share k-d trees, set
+apart by an extra coordinate, and large clouds keep their own). Pairs
+never join two clouds, so components never mix, and one labelling, one
+batched build and one reduction serve every cloud. Each term of the rank
+below is a sum over components, so `np.bincount` over the cloud of each
+simplex splits it per cloud. `persistent_betti` is the batch of one.
 
 The rank itself is read off those arrays without a diagram. With
 K = Cech_r and L = Cech_{theta*r},
@@ -73,7 +76,7 @@ from typing import Sequence
 import numpy as np
 
 from .filtration import FilteredComplex, _component_filtrations, _edge_pairs
-from .geometry import PointCloud, _dist2, _labels, miniball
+from .geometry import PointCloud, _dist2, _labels, _stacked, miniball
 
 __all__ = [
     "FieldSpec",
@@ -267,10 +270,11 @@ def persistent_bettis(clouds: Sequence[PointCloud], r: float, theta: float, k: i
                       field_spec: FieldSpec = GF2) -> np.ndarray:
     """`persistent_betti` of each cloud of a batch, from one pass over all of them.
 
-    The clouds' points are numbered one after another, so their components
-    never mix: one labelling, one batched build and one reduction serve the
-    whole batch, and the three terms of each rank are summed per cloud.
-    Returns one rank per cloud, as an int64 array.
+    The clouds' points are numbered one after another and no pair joins two
+    clouds, so their components never mix: one neighbour pass, one
+    labelling, one batched build and one reduction serve the whole batch,
+    and the three terms of each rank are summed per cloud. Returns one rank
+    per cloud, as an int64 array.
     """
     if r < 0.0 or not math.isfinite(r):
         raise ValueError(f"radius must be a finite nonnegative real, got {r}")
@@ -278,10 +282,19 @@ def persistent_bettis(clouds: Sequence[PointCloud], r: float, theta: float, k: i
         raise ValueError(f"persistence factor must satisfy theta >= 1, got {theta}")
     if k < 0:
         raise ValueError(f"homology degree must be nonnegative, got {k}")
-    m = len(clouds)
-    if not m:
+    if not clouds:
         return np.zeros(0, dtype=np.int64)
-    owner, labels, simplices = _component_complexes(clouds, r, theta * r, k)
+    return _persistent_bettis(*_stacked(clouds), r, theta, k, field_spec)
+
+
+def _persistent_bettis(points: np.ndarray, sizes: Sequence[int], r: float, theta: float,
+                       k: int, field_spec: FieldSpec) -> np.ndarray:
+    """`persistent_bettis` of the clouds stacked in `points`, one after another, of `sizes`.
+
+    The arguments are taken as checked.
+    """
+    m = len(sizes)
+    owner, labels, simplices = _component_complexes(points, sizes, r, theta * r, k)
     if k == 0:  # every class is born at 0 and survives in its component at theta*r
         return np.bincount(owner, minlength=m)
     if not simplices:
@@ -306,30 +319,24 @@ def persistent_bettis(clouds: Sequence[PointCloud], r: float, theta: float, k: i
     return born - boundaries - filled
 
 
-def _component_complexes(clouds: Sequence[PointCloud], r: float, r_outer: float, k: int
-                         ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+def _component_complexes(
+        points: np.ndarray, sizes: Sequence[int], r: float, r_outer: float, k: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The split behind `persistent_bettis`, for a batch of one or more clouds.
 
-    The clouds' points are numbered one after another. Returns the cloud of
-    each component, the component labels of the points (the components of
-    K_{r_outer}'s 1-skeleton), and the simplices up to dimension k+1 of
-    every kept component with their values, per dimension
-    (`filtration._component_filtrations`). The batched build is skipped,
-    and the list is empty, when no component is kept.
+    `points` stacks the clouds one after another and `sizes` gives their
+    point counts. Returns the cloud of each component, the component labels
+    of the points (the components of K_{r_outer}'s 1-skeleton), and the
+    simplices up to dimension k+1 of every kept component with their values,
+    per dimension (`filtration._component_filtrations`). One neighbour pass
+    (`filtration._edge_pairs`) finds the edges of every cloud. The batched
+    build is skipped, and the list is empty, when no component is kept.
     """
-    dims = {cloud.dim for cloud in clouds}
-    if len(dims) > 1:
-        raise ValueError(f"clouds of one batch must share a dimension, got {sorted(dims)}")
-    sizes = [len(cloud) for cloud in clouds]
-    found = [_edge_pairs(cloud, r_outer) for cloud in clouds]
-    for (pairs, _), start in zip(found, np.cumsum(sizes) - sizes):
-        pairs += start  # the clouds' points are numbered one after another
-    pairs, values = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
-    del found
-    n = sum(sizes)
+    pairs, values = _edge_pairs(points, sizes, r_outer)
+    n = len(points)
     labels = _labels(n, pairs)
     owner = np.empty(int(labels.max()) + 1 if n else 0, dtype=np.intp)
-    owner[labels] = np.repeat(np.arange(len(clouds)), sizes)
+    owner[labels] = np.repeat(np.arange(len(sizes)), sizes)
     counts = np.bincount(labels, minlength=len(owner))
     keep = counts >= k + 2
     if k > 0:
@@ -343,7 +350,6 @@ def _component_complexes(clouds: Sequence[PointCloud], r: float, r_outer: float,
         keep &= cycles > 0
     if not keep.any():
         return owner, labels, []
-    points = clouds[0].points if len(clouds) == 1 else np.concatenate([c.points for c in clouds])
     return owner, labels, _component_filtrations(points, pairs, values, labels, keep,
                                                  r_outer, k + 1, owner)
 

@@ -20,29 +20,35 @@ Isolation (`sep`) is read off the same component layer that splits
 `persistent_betti`: Y is isolated at r (no outside point within 2r,
 closed) exactly when it is a union of connected components of the
 geometric graph at 2r. `subset_count` therefore grows p-point unions of
-components, never the cliques that isolation would reject.
+components, never the cliques that isolation would reject. A
+`ContextIndicator` keeps only its isolation scale r; its `labels` label
+the graph at 2r of a whole batch of stacked clouds from one pass of the
+neighbour layer (`geometry._close_pairs`) and one labelling.
 
 Indicators are stacked: a descriptor's indicator takes an array
-(m, p, d) of m configurations and returns m booleans. `zeta` ranks the
-whole stack with one `persistent_bettis` call; `iso_graph`, `spread`
-and `conn` loop over it. `subset_counts` grows the unions of every cloud
-of a batch and evaluates the base once on all of them, and
-`estimate_mu` evaluates all its configurations in one call; calling a
-descriptor on one configuration is the stack of one.
+(m, p, d) of m configurations and returns m booleans. `zeta` hands the
+whole stack to the rank pass behind `persistent_bettis` as one array;
+`iso_graph`, `spread` and `conn` test the pairs of the whole stack in one
+`_rows_dist2` call, and `conn` labels the stack's components at once.
+`subset_counts` takes the sep labels and the locality pairs of every
+cloud of a batch from two passes of the neighbour layer, grows each
+cloud's unions from its own slice of them, and evaluates the base once on
+all of them; `estimate_mu` evaluates all its configurations in one call.
+Calling a descriptor on one configuration is the stack of one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _brute_force_edges, _dist2, _rows_dist2, _tree_pairs,
-                       ball_volume, component_labels, geometric_graph)
-from .persistence import FieldSpec, GF2, persistent_bettis
+from .geometry import (PointCloud, _close_pairs, _labels, _rows_dist2, _stacked, ball_volume,
+                       geometric_graph)
+from .persistence import FieldSpec, GF2, _persistent_bettis
 from .sampling import Density, sample_binomial, sample_in_ball, sample_poisson
 
 __all__ = [
@@ -128,7 +134,7 @@ class SmallGraph:
         return tuple(frozenset(s) for s in adj)
 
     def is_connected(self) -> bool:
-        return _connected(self.n, self.edges)
+        return not _labels(self.n, np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)).any()
 
 
 def _graphs_isomorphic(gamma: SmallGraph, edges: Collection[tuple[int, int]], n: int) -> bool:
@@ -238,23 +244,33 @@ class PropertyDescriptor:
 class ContextIndicator:
     """Indicator of a subset within its ambient cloud: any subset, or isolation.
 
-    `labels` numbers the components of a cloud's graph, and a subset passes
-    when it is a union of components. Without `labels` (the trivial
-    context) every subset passes.
+    With an isolation `scale` r, a subset passes when no outside point lies
+    within 2r of it: when it is a union of components of the cloud's
+    geometric graph at 2r (`labels`). Without a scale (the trivial context)
+    every subset passes.
     """
 
     name: str
-    labels: Callable[[PointCloud], np.ndarray] | None = None
+    scale: float | None = None
 
     @property
     def trivial(self) -> bool:
-        return self.labels is None
+        return self.scale is None
+
+    def labels(self, points: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+        """Component labels at 2*scale of a batch of clouds stacked one after another.
+
+        One neighbour pass (`geometry._close_pairs`) and one labelling serve
+        the batch; components are numbered by smallest member, so a cloud's
+        labels minus its first point's are that cloud's own labels.
+        """
+        return _labels(len(points), _close_pairs(points, sizes, 2.0 * self.scale))
 
     def make(self, cloud: PointCloud) -> Callable[[Sequence[int]], bool]:
         """Indicator of index subsets of this cloud."""
-        if self.labels is None:
+        if self.trivial:
             return lambda indices: True
-        labels = self.labels(cloud)
+        labels = self.labels(cloud.points, [len(cloud)])
         sizes = np.bincount(labels).tolist()
         labels = labels.tolist()
 
@@ -299,25 +315,15 @@ def trivial_context() -> ContextIndicator:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_dist2(pts: list[list[float]]) -> list[float]:
-    return [_dist2(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
+def _gaps(stack: np.ndarray) -> np.ndarray:
+    """Squared distances of the pairs `np.triu_indices(p, 1)` of each configuration, (m, C(p,2)).
 
-
-def _connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
+    `_rows_dist2` sums as `_dist2` does, so each pair test is the scalar one.
+    """
+    m, p, d = stack.shape
+    first, second = np.triu_indices(p, 1)
+    gaps = _rows_dist2(stack[:, first].reshape(-1, d), stack[:, second].reshape(-1, d))
+    return gaps.reshape(m, len(first))
 
 
 def iso_graph(gamma: SmallGraph, r: float, p: int) -> PropertyDescriptor:
@@ -331,8 +337,11 @@ def iso_graph(gamma: SmallGraph, r: float, p: int) -> PropertyDescriptor:
     if not gamma.is_connected():
         raise ValueError("isomorphism templates must be connected")
 
+    pairs = list(combinations(range(p), 2))  # the order of np.triu_indices(p, 1)
+
     def indicator(stack: np.ndarray) -> list[bool]:
-        return [_graphs_isomorphic(gamma, _brute_force_edges(pts, r), p) for pts in stack.tolist()]
+        return [_graphs_isomorphic(gamma, list(compress(pairs, close)), p)
+                for close in (_gaps(stack) <= r * r).tolist()]
 
     return PropertyDescriptor(name=f"iso[{gamma.n}v{len(gamma.edges)}e]", arity=p,
                               scale=r, diam_factor=1.0, indicator=indicator)
@@ -344,9 +353,9 @@ def spread(r: float, p: int) -> PropertyDescriptor:
     lo2 = r * r
     hi2 = (r * p) * (r * p)
 
-    def indicator(stack: np.ndarray) -> list[bool]:
-        d2s = [_pairwise_dist2(pts) for pts in stack.tolist()]
-        return [all(d2 > lo2 for d2 in row) and all(d2 <= hi2 for d2 in row) for row in d2s]
+    def indicator(stack: np.ndarray) -> np.ndarray:
+        gaps = _gaps(stack)
+        return (gaps > lo2).all(axis=1) & (gaps <= hi2).all(axis=1)
 
     return PropertyDescriptor(name="spread", arity=p, scale=r, diam_factor=1.0,
                               indicator=indicator)
@@ -359,8 +368,15 @@ def conn(r: float, p: int) -> PropertyDescriptor:
     diameter 2r(p-1).
     """
 
-    def indicator(stack: np.ndarray) -> list[bool]:
-        return [_connected(p, _brute_force_edges(pts, 2.0 * r)) for pts in stack.tolist()]
+    cutoff = 2.0 * r
+    first, second = np.triu_indices(p, 1)
+
+    def indicator(stack: np.ndarray) -> np.ndarray:
+        # One labelling of the whole stack, its configurations numbered one after another.
+        config, pair = np.nonzero(_gaps(stack) <= cutoff * cutoff)
+        pairs = np.column_stack((first[pair], second[pair])) + (config * p)[:, None]
+        labels = _labels(len(stack) * p, pairs).reshape(-1, p)
+        return (labels == labels[:, :1]).all(axis=1)
 
     return PropertyDescriptor(name="conn", arity=p, scale=r, diam_factor=2.0,
                               indicator=indicator)
@@ -375,8 +391,7 @@ def sep(r: float) -> ContextIndicator:
     hold |Y| points in total, and `subset_count` enumerates the unions
     themselves.
     """
-    return ContextIndicator(name=f"sep[{r:g}]",
-                            labels=lambda cloud: component_labels(cloud, 2.0 * r))
+    return ContextIndicator(name=f"sep[{r:g}]", scale=r)
 
 
 def comp(r: float, p: int) -> SubsetPropertyDescriptor:
@@ -397,15 +412,14 @@ def zeta(r: float, p: int, theta: float, k: int,
     if k < 1:
         raise ValueError(f"cycle degree must be at least 1, got {k}")
     cap = 2.0 * theta * r * p
-    first, second = np.triu_indices(p, 1)
 
     def indicator(stack: np.ndarray) -> np.ndarray:
-        # `_rows_dist2` sums as `_dist2` does, so the clamp is the scalar one.
-        gaps = _rows_dist2(stack[:, first].reshape(-1, stack.shape[2]),
-                           stack[:, second].reshape(-1, stack.shape[2]))
-        local = ~(gaps.reshape(len(stack), -1) > cap * cap).any(axis=1)
-        ranks = persistent_bettis([PointCloud(stack.shape[2], pts) for pts in stack[local]],
-                                  r, theta, k, field_spec)
+        local = ~(_gaps(stack) > cap * cap).any(axis=1)
+        ranked = stack[local]
+        if not np.isfinite(ranked).all():
+            raise ValueError("coordinates must be finite")
+        ranks = _persistent_bettis(ranked.reshape(-1, stack.shape[2]), [p] * len(ranked),
+                                   r, theta, k, field_spec)
         held = np.zeros(len(stack), dtype=bool)
         held[local] = ranks >= 1
         return held
@@ -468,43 +482,56 @@ def subset_count(h: SubsetPropertyDescriptor, cloud: PointCloud) -> int:
 def subset_counts(h: SubsetPropertyDescriptor, clouds: Sequence[PointCloud]) -> np.ndarray:
     """`subset_count` of each cloud of a batch, with one base evaluation for all of them.
 
-    Each cloud's isolated p-unions are grown as `_isolated_unions` says;
-    the base is then evaluated once, on the stack of the unions of every
-    cloud, and its hits are summed per cloud. With the trivial context each
-    cloud is a `count_property`. Returns one count per cloud, as an int64
-    array.
+    The clouds are stacked one after another. One neighbour pass labels the
+    components of the context's graph in every cloud (`ContextIndicator.labels`)
+    and a second finds the pairs at the base's locality radius
+    (`geometry._close_pairs`); each cloud's isolated p-unions are then grown
+    from its own slice of both, as `_isolated_unions` says. The base is
+    evaluated once, on the stack of the unions of every cloud, and its hits
+    are summed per cloud. With the trivial context each cloud is a
+    `count_property`. Returns one count per cloud, as an int64 array.
     """
     base, p = h.base, h.arity
     if h.context.trivial:
         return np.array([count_property(base, cloud) for cloud in clouds], dtype=np.int64)
-    unions = [_isolated_unions(h, cloud) for cloud in clouds]
-    if not unions:
+    if not clouds:
         return np.zeros(0, dtype=np.int64)
-    stack = np.concatenate([cloud.points[np.array(found, dtype=np.intp).reshape(-1, p)]
-                            for cloud, found in zip(clouds, unions)])
-    owner = np.repeat(np.arange(len(clouds)), [len(found) for found in unions])
+    points, sizes = _stacked(clouds)
+    ends = np.cumsum(sizes).tolist()
+    labels = h.context.labels(points, sizes)
+    pairs = _close_pairs(points, sizes, base.locality_radius())
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]  # so each cloud's pairs are a run
+    cuts = np.searchsorted(pairs[:, 0], [0] + ends).tolist()
+    unions = []
+    for c, (start, end) in enumerate(zip([0] + ends, ends)):
+        if end - start < p:
+            continue
+        found = _isolated_unions(p, labels[start:end] - labels[start],
+                                 pairs[cuts[c]:cuts[c + 1]] - start)
+        unions.append((c, np.array(found, dtype=np.intp).reshape(-1, p) + start))
+    if not unions:
+        return np.zeros(len(clouds), dtype=np.int64)
+    owner = np.concatenate([np.full(len(found), c) for c, found in unions])
+    stack = points[np.concatenate([found for _, found in unions])]
     return np.bincount(owner[base.holds(stack)], minlength=len(clouds))
 
 
-def _isolated_unions(h: SubsetPropertyDescriptor, cloud: PointCloud) -> list[list[int]]:
-    """The p-subsets of the cloud, indices ascending, that the base of h is evaluated on.
+def _isolated_unions(p: int, labels: np.ndarray, pairs: np.ndarray) -> list[list[int]]:
+    """The p-subsets of one cloud, indices ascending, that an isolated count evaluates.
 
-    An isolated subset is a union of components of the context's graph, and
-    a qualifying one is also a clique of the geometric graph at the base's
-    locality radius. So this keeps the components that can take part in such
-    a union (p points, or fewer and an edge at the locality radius to a
-    component that fits beside them), grows unions of them in ascending
-    label order, drops a branch as soon as a component is not adjacent there
-    to every point already chosen, and returns each union of exactly p
-    points. These are the isolated p-cliques, the same sets a clique count
-    would keep.
+    `labels` numbers the components of the context's graph on the cloud's
+    points (by smallest member) and `pairs` are the cloud's pairs at the
+    base's locality radius. An isolated subset is a union of components of
+    the context's graph, and a qualifying one is also a clique of the
+    geometric graph at the locality radius. So this keeps the components
+    that can take part in such a union (p points, or fewer and an edge at
+    the locality radius to a component that fits beside them), grows unions
+    of them in ascending label order, drops a branch as soon as a component
+    is not adjacent there to every point already chosen, and returns each
+    union of exactly p points. These are the isolated p-cliques, the same
+    sets a clique count would keep.
     """
-    base, p = h.base, h.arity
-    if p > len(cloud):
-        return []
-    labels = h.context.labels(cloud)
     sizes = np.bincount(labels)
-    pairs = _tree_pairs(cloud, base.locality_radius())
     a, b = labels[pairs[:, 0]], labels[pairs[:, 1]]
     # A component can join a union of p points when it has p points itself, or
     # fewer and an edge to another component that fits beside it.

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from cechlab import cli, experiment
+from cechlab import cli, experiment, geometry
 from cechlab.errors import AuditError, ConfigurationError
 from cechlab.experiment import (AuditRow, ExperimentSpec, ResultRow, audit_csv, fit_csv,
                                 fit_exponent, lower_bound_audit,
@@ -21,7 +22,7 @@ from cechlab.experiment import (AuditRow, ExperimentSpec, ResultRow, audit_csv, 
                                 results_csv, run_experiment, write_manifest)
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
-from cechlab.persistence import compute_persistence, persistent_betti
+from cechlab.persistence import compute_persistence, persistent_betti, persistent_bettis
 from cechlab.render import render_balls
 from cechlab.sampling import Density, sample_poisson, stream
 from scalar_cech import scalar_build
@@ -153,6 +154,43 @@ def test_audit_guards(tmp_path):
         lower_bound_audit(_small_spec(), m=2, dump_dir=tmp_path)
     with pytest.raises(ConfigurationError):
         lower_bound_audit(_small_spec(k=0), m=3, dump_dir=tmp_path)
+
+
+def test_tiny_clouds_share_k_d_trees_and_large_ones_keep_their_own(monkeypatch, tmp_path):
+    # The criterion-6 audit at m = 3 (500 clouds of about 20 points, the
+    # benchmark's audit-6 spec) runs four neighbour passes over its batch: sep
+    # labels, locality pairs, the ranks and zeta's 3-point unions. Grouped, they
+    # build O(points / group size) k-d trees, not about six per cloud. A
+    # figure-1 cloud at n = 1e3 still builds exactly one tree, on its own
+    # 2-d coordinates, alone or in a batch.
+    trees: list[np.ndarray] = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            trees.append(np.array(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+    _on_cores(monkeypatch, {0})  # one process, so every tree is counted here
+    spec = ExperimentSpec(d=2, k=1, theta=1.0, density=Density.unit_cube(2), c=0.6, q=-0.6,
+                          n_grid=(20.0,), trials=500, seed=16002)
+    table = lower_bound_audit(spec, m=3, dump_dir=tmp_path)
+    assert sum(row.isolated_cycles for row in table.rows) > 0
+    rows = sum(len(tree) for tree in trees)
+    assert len(trees) <= rows / geometry._GROUP_POINTS + 4
+    assert len(trees) < len(table.rows) / 3  # one tree per cloud and pass would be 2000
+    assert {tree.shape[1] for tree in trees} == {3}  # a cloud number beside x and y
+
+    box = Density.uniform_box([(-1.0, 1.0), (-1.0, 1.0)])
+    clouds = [sample_poisson(1e3, box, stream(0, 0, t)) for t in range(3)]
+    r = 2.6 * 1e3 ** (-2.0 / 3.0)
+    trees.clear()
+    persistent_betti(clouds[0], r, 1.4, 1)
+    assert len(trees) == 1 and np.array_equal(trees[0], clouds[0].points)
+    trees.clear()
+    persistent_bettis(clouds, r, 1.4, 1)
+    assert len(trees) == 3
+    assert all(np.array_equal(tree, cloud.points) for tree, cloud in zip(trees, clouds))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from cechlab.geometry import (Ball, PointCloud, _circumball, _circumradii, _labels,
-                              _tree_pairs, _triangle_radii, ball_volume, geometric_graph,
-                              miniball)
+from cechlab import geometry
+from cechlab.filtration import _edge_pairs
+from cechlab.geometry import (_GROUP_POINTS, Ball, PointCloud, _circumball, _circumradii,
+                              _close_pairs, _dist2, _labels, _near_pairs, _tree_pairs,
+                              _triangle_radii, ball_volume, geometric_graph, miniball)
 from cechlab.sampling import Density, sample_poisson, stream
+from mixed_batches import S, cubic_lattice, mixed_batch
 
 
 def _miniball_oracle(points: np.ndarray) -> float:
@@ -211,6 +215,89 @@ def test_geometric_graph_grid_matches_brute_force():
             assert edges == expected
 
 
+def _scalar_gaps(pts: np.ndarray) -> dict[tuple[int, int], float]:
+    """`_dist2` of every pair i < j, by the scalar loop."""
+    rows = pts.tolist()
+    return {(i, j): _dist2(rows[i], rows[j])
+            for i in range(len(rows)) for j in range(i + 1, len(rows))}
+
+
+def _as_set(pairs: np.ndarray) -> set[tuple[int, int]]:
+    return set(map(tuple, pairs.tolist()))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_pairs_equal_the_per_cloud_pairs(d):
+    # One query pass over a batch, with small clouds sharing trees, gives each
+    # cloud's own pairs: those of its batch of one and those of the scalar rule,
+    # at exact lattice ties s, sqrt(2)*s and sqrt(3)*s, at 0 (duplicates only)
+    # and at a radius where clouds laid over each other would meet.
+    clouds = mixed_batch(d, np.random.default_rng(600 + d))
+    sizes = [len(pts) for pts in clouds]
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    stack = np.concatenate(clouds)
+    owner = np.repeat(np.arange(len(clouds)), sizes)
+    gaps = [_scalar_gaps(pts) for pts in clouds]
+    for cutoff in (0.0, S, math.sqrt(2.0) * S, math.sqrt(3.0) * S, 0.3):
+        candidates, d2 = _near_pairs(stack, sizes, cutoff)
+        assert np.array_equal(owner[candidates[:, 0]], owner[candidates[:, 1]])
+        assert d2.tolist() == [gaps[c][i - starts[c], j - starts[c]]
+                               for c, (i, j) in zip(owner[candidates[:, 0]].tolist(),
+                                                    candidates.tolist())]
+        pairs = _close_pairs(stack, sizes, cutoff)
+        edges, values = _edge_pairs(stack, sizes, cutoff / 2.0)
+        labels = _labels(len(stack), pairs)
+        for c, (pts, start) in enumerate(zip(clouds, starts)):
+            mine = owner[pairs[:, 0]] == c
+            own = _close_pairs(pts, [len(pts)], cutoff)
+            assert _as_set(pairs[mine] - start) == _as_set(own) == {
+                pair for pair, gap in gaps[c].items() if gap <= cutoff * cutoff}
+            mine = owner[edges[:, 0]] == c
+            own_edges, own_values = _edge_pairs(pts, [len(pts)], cutoff / 2.0)
+            assert dict(zip(map(tuple, (edges[mine] - start).tolist()), values[mine].tolist())) \
+                == dict(zip(map(tuple, own_edges.tolist()), own_values.tolist())) == {
+                    pair: 0.5 * math.sqrt(gap) for pair, gap in gaps[c].items()
+                    if 0.5 * math.sqrt(gap) <= cutoff / 2.0}
+            if len(pts):
+                assert np.array_equal(labels[start:start + len(pts)] - labels[start],
+                                      _labels(len(pts), own))
+
+
+def test_diameter_is_the_scalar_loop():
+    def scalar(pts: np.ndarray) -> float:
+        return math.sqrt(max(_scalar_gaps(pts).values(), default=0.0))
+
+    rng = np.random.default_rng(29)
+    clouds = [np.zeros((0, 2)), rng.random((1, 3)), rng.random((2, 2)), np.zeros((2, 1))]
+    clouds += [rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+               for n in (3, 4, 11, 57) for d in (1, 2, 3)]
+    clouds += [cubic_lattice(d, n) for d in (1, 2, 3) for n in (2, 9, 64)]
+    clouds += [np.repeat(rng.random((4, 2)), 3, axis=0)]
+    for pts in clouds:
+        assert PointCloud(pts.shape[1], pts).diameter() == scalar(pts)
+
+
+def test_large_clouds_and_lone_clouds_are_queried_on_their_own_coordinates(monkeypatch):
+    trees = []
+
+    class Counting(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            trees.append(np.array(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", Counting)
+    rng = np.random.default_rng(17)
+    big = [rng.random((n, 2)) for n in (_GROUP_POINTS, 1000, _GROUP_POINTS + 7)]
+    small = [rng.random((n, 2)) for n in (3, 5, 2, 9)]
+    _near_pairs(np.concatenate(big + small), [len(pts) for pts in big + small], 0.05)
+    assert [tree.shape for tree in trees[:3]] == [pts.shape for pts in big]
+    assert all(np.array_equal(tree, pts) for tree, pts in zip(trees, big))
+    assert len(trees) == 4 and trees[3].shape == (19, 3)  # the small ones share a tree
+    trees.clear()
+    _near_pairs(small[0], [3], 0.05)
+    assert len(trees) == 1 and np.array_equal(trees[0], small[0])
+
+
 def _csgraph_labels(n: int, pairs: np.ndarray) -> np.ndarray:
     adjacency = coo_matrix((np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
                            shape=(n, n))
@@ -243,7 +330,7 @@ def test_labels_match_csgraph():
     cloud = sample_poisson(1e5, box, stream(0, 0, 0))
     r = 2.6 * 1e5 ** (-2.0 / 3.0)
     for scale in (2.0 * 1.4 * r, 2.0 * r):
-        pairs = _tree_pairs(cloud, scale)
+        pairs = _tree_pairs(cloud.points, scale)
         assert np.array_equal(_labels(len(cloud), pairs), _csgraph_labels(len(cloud), pairs))
 
 

@@ -266,7 +266,7 @@ def _assert_components_match_build(cloud: PointCloud, r: float, theta: float, k:
 
     Returns how many components were compared.
     """
-    _, labels, simplices = _component_complexes([cloud], r, theta * r, k)
+    _, labels, simplices = _component_complexes(cloud.points, [len(cloud)], r, theta * r, k)
     if not simplices:
         return 0
     assert len(simplices) == k + 2
@@ -447,7 +447,7 @@ def test_triangle_cap_counts_per_cloud(monkeypatch):
     alone = [persistent_betti(cloud, 0.2, 1.5, 1) for cloud in clouds]
     candidates = []  # each cloud is one component with a cycle, so all are built
     for cloud in clouds:
-        pairs, _ = filtration._edge_pairs(cloud, 0.3)
+        pairs, _ = filtration._edge_pairs(cloud.points, [len(cloud)], 0.3)
         candidates.append(int(np.bincount(pairs[:, 0], minlength=12)[pairs[:, 1]].sum()))
     assert max(candidates) <= 150 < sum(candidates)
     monkeypatch.setattr(filtration, "_MAX_TRIANGLE_CANDIDATES", 150)

@@ -10,7 +10,7 @@ import pytest
 
 from cechlab.errors import ConfigurationError
 from cechlab.geometry import PointCloud, ball_volume, geometric_graph
-from cechlab.persistence import persistent_betti
+from cechlab.persistence import persistent_betti, persistent_bettis
 from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
                                 _graphs_isomorphic, _three_sigma_overlap,
                                 comp, component_count, conn,
@@ -20,6 +20,7 @@ from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
                                 subset_count, subset_counts, trivial_context, upsilon,
                                 zeta)
 from cechlab.sampling import Density, sample_binomial, sample_in_ball, sample_poisson, stream
+from mixed_batches import S, cubic_lattice, mixed_batch
 
 
 def _square(side: float = 1.0) -> np.ndarray:
@@ -343,6 +344,74 @@ def test_stacked_indicators_equal_one_configuration_at_a_time():
         assert held.tolist() == [bool(g(config)) for config in stack]
         assert g.holds(stack[:0]).tolist() == []
     assert _accept_all(1.0, 2, 1.0).holds(np.zeros((3, 2, 2))).tolist() == [True] * 3
+
+
+def _scalar_edges(pts: list, cutoff: float) -> list[tuple[int, int]]:
+    """Pairs i < j at distance <= cutoff, by the closed scalar rule."""
+    return [(i, j) for i, j in combinations(range(len(pts)), 2)
+            if _within_2r(pts[i], pts[j], cutoff / 2.0)]
+
+
+def _scalar_connected(n: int, edges: list[tuple[int, int]]) -> bool:
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for a, b in edges:
+            for j in ((b,) if a == i else (a,) if b == i else ()):
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return len(seen) == n
+
+
+def test_stacked_pair_tests_match_the_per_configuration_loop():
+    # iso_graph, conn and spread test every pair of the stack in one pass; each
+    # configuration's answer is the per-configuration loop's, also for pairs at
+    # exactly the cutoff (dyadic lattice points, whose distances square exactly).
+    rng = np.random.default_rng(211)
+    grid = cubic_lattice(2, 16)
+    for p in (2, 3, 4):
+        picks = np.array([rng.choice(len(grid), p, replace=False) for _ in range(300)])
+        stack = np.concatenate([grid[picks], rng.random((100, p, 2)) * 0.4])
+        configs = stack.tolist()
+        templates = [SmallGraph.path(p), SmallGraph.complete(p)]
+        templates += [SmallGraph.cycle(p)] if p >= 3 else []
+        assert (((stack[:, :, None] - stack[:, None]) ** 2).sum(axis=3) == S * S).any()  # ties
+        for cutoff in (S, math.sqrt(2.0) * S, 2.0 * S):
+            edges = [_scalar_edges(pts, cutoff) for pts in configs]
+            for gamma in templates:
+                assert iso_graph(gamma, cutoff, p).holds(stack).tolist() == \
+                    [_graphs_isomorphic(gamma, e, p) for e in edges]
+            assert conn(cutoff / 2.0, p).holds(stack).tolist() == \
+                [_scalar_connected(p, e) for e in edges]
+            wide = [_scalar_edges(pts, cutoff * p) for pts in configs]
+            assert spread(cutoff, p).holds(stack).tolist() == \
+                [not e and len(w) == p * (p - 1) // 2 for e, w in zip(edges, wide)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_counts_and_ranks_equal_batches_of_one(d):
+    # Clouds batched through the grouped neighbour layer (empty and one-point
+    # clouds, duplicates, exact-tie lattices around the group size) get the
+    # sep labels, isolated counts and persistent ranks of their batches of one.
+    clouds = [PointCloud(d, pts) for pts in mixed_batch(d, np.random.default_rng(700 + d))]
+    if d >= 2:  # isolated equilateral triangles of side 0.12, a 1-cycle from 0.06 to 0.069
+        triangle = np.array([(0.0, 0.0), (0.12, 0.0), (0.06, 0.06 * math.sqrt(3.0))])
+        clouds[3:3] = [PointCloud(d, np.pad(triangle, ((0, 0), (0, d - 2))))] * 2
+    sizes = [len(cloud) for cloud in clouds]
+    stack = np.concatenate([cloud.points for cloud in clouds])
+    for r in (S / 2.0, 0.06, 0.07):
+        labels = sep(r).labels(stack, sizes)
+        for cloud, start in zip(clouds, (np.cumsum(sizes) - sizes).tolist()):
+            if len(cloud):
+                assert np.array_equal(labels[start:start + len(cloud)] - labels[start],
+                                      sep(r).labels(cloud.points, [len(cloud)]))
+        for h in (comp(r, 2), comp(r, 3), upsilon(r, 3, 1.1, 1)):
+            assert subset_counts(h, clouds).tolist() == \
+                [subset_count(h, cloud) for cloud in clouds], (r, h.name)
+        for theta, k in ((1.0, 0), (1.1, 1), (1.5, 1), (1.2, d - 1)):
+            assert persistent_bettis(clouds, r, theta, k).tolist() == \
+                [persistent_betti(cloud, r, theta, k) for cloud in clouds], (r, theta, k)
 
 
 def _accept_all(r: float, p: int, factor: float) -> PropertyDescriptor:
