@@ -32,6 +32,7 @@ import numpy as np
 import scipy
 
 from .errors import AuditError, ConfigurationError
+from .geometry import _BATCH_POINTS
 from .persistence import GF2, FieldSpec, persistent_bettis
 from .properties import subset_counts, upsilon
 from .sampling import Density, sample_poisson, stream
@@ -166,12 +167,6 @@ def predicted_exponent(d: int, q: float, m: int) -> float:
     if m < 1:
         raise ValueError(f"minimal cycle arity must be positive, got {m}")
     return 1.0 + (q * d + 1.0) * (m - 1)
-
-
-# Points a batch of trials may hold, counted by intensity: a batch is as many
-# consecutive trials as fit, and at least one. So a figure-1 cloud at n = 1e5
-# is a batch of its own, and a criterion-6 chunk of 20-point clouds is one.
-_BATCH_POINTS = 100_000
 
 
 def _run_chunk(task: Callable[[range], list[T]], chunk: range, size: int) -> list[T] | int:

@@ -339,6 +339,11 @@ _QUERY_SLACK = 1.0 + 1e-9
 # while 24 clouds of 1e3 points in one tree took twice as long as alone.
 _GROUP_POINTS = 256
 
+# Points a batch of clouds may hold: batched callers hand the layers as many
+# consecutive clouds as fit, and at least one. So a figure-1 cloud at n = 1e5
+# is a batch of its own, and a criterion-6 chunk of 20-point clouds is one.
+_BATCH_POINTS = 100_000
+
 
 def _tree_pairs(points: np.ndarray, r: float) -> np.ndarray:
     """Pairs i < j at distance <= r by the tree's arithmetic, in no fixed order, as (m, 2).

@@ -4,10 +4,7 @@ A property descriptor carries an arity p, a scale r and a locality
 factor C with the guarantee: indicator(Y) = 1 implies diam(Y) <= C*r*p.
 That bound is what makes counting tractable: every qualifying p-subset
 of a cloud is a clique of the geometric graph at scale C*r*p, so no
-count evaluates a property outside those cliques. Plain counts enumerate
-the cliques; isolated counts enumerate only the unions of components
-(below) that are cliques. Both match exhaustive enumeration exactly
-(tested).
+count evaluates a property outside those cliques.
 
 Scale conventions. Connectivity-flavored properties (`conn`, `comp`)
 look at components of the union of r-balls, so two points interact up
@@ -19,35 +16,38 @@ Every pair test is geometry's closed rule: squared distance <= cutoff^2.
 Isolation (`sep`) is read off the same component layer that splits
 `persistent_betti`: Y is isolated at r (no outside point within 2r,
 closed) exactly when it is a union of connected components of the
-geometric graph at 2r. `subset_count` therefore grows p-point unions of
-components, never the cliques that isolation would reject. A
-`ContextIndicator` keeps only its isolation scale r; its `labels` label
-the graph at 2r of a whole batch of stacked clouds from one pass of the
-neighbour layer (`geometry._close_pairs`) and one labelling.
+geometric graph at 2r. A `ContextIndicator`'s `labels` label the graph
+at 2r of a batch of stacked clouds from one neighbour pass
+(`geometry._close_pairs`); the trivial context makes each point a
+component. One enumerator, `_unions`, serves every count: over a whole
+batch in numpy, it grows the p-point unions of components that are
+cliques at the locality radius, level by level. These are the isolated
+p-cliques, or in the trivial context all p-cliques, so `count_property`
+is `subset_count` in the trivial context. Both match exhaustive
+enumeration exactly (tested).
 
 Indicators are stacked: a descriptor's indicator takes an array
-(m, p, d) of m configurations and returns m booleans. `zeta` hands the
-whole stack to the rank pass behind `persistent_bettis` as one array;
-`iso_graph`, `spread` and `conn` test the pairs of the whole stack in one
-`_rows_dist2` call, and `conn` labels the stack's components at once.
-`subset_counts` takes the sep labels and the locality pairs of every
-cloud of a batch from two passes of the neighbour layer, grows each
-cloud's unions from its own slice of them, and evaluates the base once on
-all of them; `estimate_mu` evaluates all its configurations in one call.
-Calling a descriptor on one configuration is the stack of one.
+(m, p, d) of m configurations and returns m booleans, and calling it on
+one configuration is the stack of one. `subset_counts` evaluates the
+base once on the unions of a whole batch, `estimate_mu` once on all its
+configurations, and `palm_check` and `convergence_diagnostic` once per
+batch of clouds. `zeta` hands its stack to the rank pass behind
+`persistent_bettis`; `iso_graph`, `spread` and `conn` test the pairs of
+the stack in one `_rows_dist2` call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, compress
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _close_pairs, _labels, _rows_dist2, _stacked, ball_volume,
-                       geometric_graph)
+from .geometry import (_BATCH_POINTS, PointCloud, _close_pairs, _labels, _rows_dist2, _stacked,
+                       ball_volume)
 from .persistence import FieldSpec, GF2, _persistent_bettis
 from .sampling import Density, sample_binomial, sample_in_ball, sample_poisson
 
@@ -262,8 +262,11 @@ class ContextIndicator:
 
         One neighbour pass (`geometry._close_pairs`) and one labelling serve
         the batch; components are numbered by smallest member, so a cloud's
-        labels minus its first point's are that cloud's own labels.
+        labels minus its first point's are that cloud's own labels. In the
+        trivial context every point is a component of its own.
         """
+        if self.trivial:
+            return np.arange(len(points))
         return _labels(len(points), _close_pairs(points, sizes, 2.0 * self.scale))
 
     def make(self, cloud: PointCloud) -> Callable[[Sequence[int]], bool]:
@@ -315,13 +318,21 @@ def trivial_context() -> ContextIndicator:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(p, 1)`, made once per arity and shared read-only."""
+    first, second = np.triu_indices(p, 1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
 def _gaps(stack: np.ndarray) -> np.ndarray:
-    """Squared distances of the pairs `np.triu_indices(p, 1)` of each configuration, (m, C(p,2)).
+    """Squared distances of the pairs `_pairs(p)` of each configuration, (m, C(p,2)).
 
     `_rows_dist2` sums as `_dist2` does, so each pair test is the scalar one.
     """
     m, p, d = stack.shape
-    first, second = np.triu_indices(p, 1)
+    first, second = _pairs(p)
     gaps = _rows_dist2(stack[:, first].reshape(-1, d), stack[:, second].reshape(-1, d))
     return gaps.reshape(m, len(first))
 
@@ -337,11 +348,14 @@ def iso_graph(gamma: SmallGraph, r: float, p: int) -> PropertyDescriptor:
     if not gamma.is_connected():
         raise ValueError("isomorphism templates must be connected")
 
-    pairs = list(combinations(range(p), 2))  # the order of np.triu_indices(p, 1)
+    pairs = list(combinations(range(p), 2))  # the order of _pairs(p)
 
-    def indicator(stack: np.ndarray) -> list[bool]:
-        return [_graphs_isomorphic(gamma, list(compress(pairs, close)), p)
-                for close in (_gaps(stack) <= r * r).tolist()]
+    def indicator(stack: np.ndarray) -> np.ndarray:
+        # The answer depends only on which pairs are close: test each pattern once.
+        patterns, which = np.unique(_gaps(stack) <= r * r, axis=0, return_inverse=True)
+        found = [_graphs_isomorphic(gamma, list(compress(pairs, close)), p)
+                 for close in patterns.tolist()]
+        return np.array(found, dtype=bool)[which.reshape(-1)]
 
     return PropertyDescriptor(name=f"iso[{gamma.n}v{len(gamma.edges)}e]", arity=p,
                               scale=r, diam_factor=1.0, indicator=indicator)
@@ -439,36 +453,80 @@ def upsilon(r: float, p: int, theta: float, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _iter_cliques(adjacency_above: Sequence[set[int]], size: int) -> Iterator[tuple[int, ...]]:
-    """Cliques as ascending index tuples, grown through common neighborhoods."""
-    n = len(adjacency_above)
-    if size == 1:
-        for i in range(n):
-            yield (i,)
-        return
+# Candidate unions that one level of `_unions` may make for one cloud; a
+# denser cloud raises ConfigurationError instead of growing without end.
+_MAX_UNION_CANDIDATES = 5_000_000
 
-    def grow(prefix: tuple[int, ...], common: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == size:
-            yield prefix
-            return
-        for v in sorted(common):
-            yield from grow(prefix + (v,), common & adjacency_above[v])
 
-    for i in range(n):
-        yield from grow((i,), set(adjacency_above[i]))
+def _unions(p: int, labels: np.ndarray, pairs: np.ndarray, cloud_of: np.ndarray) -> np.ndarray:
+    """The p-point unions of components that are cliques at the pairs' radius, as (m, p) rows.
+
+    `labels` numbers the components of a batch of stacked clouds by smallest
+    member, `pairs` are the batch's pairs at the locality radius and
+    `cloud_of` is each point's cloud. A component is kept when it can join
+    a union of p points (it has p points, or fewer and a pair to a component
+    that fits beside it) and is a clique: 2 * (inner pairs) = s(s - 1). Two
+    kept components are adjacent when they fit together and all s_a * s_b
+    cross pairs are pairs. Unions grow level by level: each joins its last
+    component to the higher adjacent ones that are adjacent to every earlier
+    member and still fit. Rows list ascending point indices, in ascending
+    order: each cloud's `itertools.combinations` order, cloud after cloud.
+    Raises ConfigurationError, before making them, when one cloud's
+    candidates for a level number more than `_MAX_UNION_CANDIDATES`.
+    """
+    size = np.bincount(labels)
+    k = len(size)
+    a, b = labels[pairs[:, 0]], labels[pairs[:, 1]]
+    inner = a == b
+    fits = ~inner & (size[a] + size[b] <= p)
+    kept = size == p
+    kept[a[fits]] = kept[b[fits]] = True
+    kept &= 2 * np.bincount(a[inner], minlength=k) == size * (size - 1)
+    cross = fits & kept[a] & kept[b]
+    keys, hits = np.unique(np.minimum(a, b)[cross] * k + np.maximum(a, b)[cross],
+                           return_counts=True)
+    keys = keys[hits == size[keys // k] * size[keys % k]]  # (lo, hi) of adjacent components
+    low, high = keys // k, keys % k
+    order = np.argsort(labels, kind="stable")  # the points component by component
+    first = np.cumsum(size) - size
+    owner = cloud_of[order[first]]
+    grown, done = np.flatnonzero(kept)[:, None], []
+    while True:
+        total = size[grown].sum(axis=1)
+        done.append(grown[total == p].ravel())
+        grown, total = grown[total < p], total[total < p]
+        if not len(grown):
+            break
+        begin = np.searchsorted(low, grown[:, -1])
+        reps = np.searchsorted(low, grown[:, -1], side="right") - begin
+        need = int(np.bincount(owner[grown[:, 0]], weights=reps).max())
+        if need > _MAX_UNION_CANDIDATES:
+            raise ConfigurationError(
+                f"a cloud needs {need} candidate unions of {grown.shape[1] + 1} components, "
+                f"above the cap of {_MAX_UNION_CANDIDATES}")
+        row = np.repeat(np.arange(len(grown)), reps)
+        cand = high[np.arange(len(row)) + np.repeat(begin - (np.cumsum(reps) - reps), reps)]
+        keep = total[row] + size[cand] <= p
+        for member in grown.T[:-1]:
+            row, cand = row[keep], cand[keep]
+            key = member[row] * k + cand
+            keep = keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
+        grown = np.column_stack((grown[row[keep]], cand[keep]))
+    # Each union's components, then their points, p per union.
+    members = np.concatenate(done)
+    reps = size[members]
+    rows = order[np.arange(reps.sum()) + np.repeat(first[members] - (np.cumsum(reps) - reps), reps)]
+    rows = np.sort(rows.reshape(-1, p), axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def count_property(g: PropertyDescriptor, cloud: PointCloud) -> int:
     """Number of p-subsets satisfying g; locality-pruned, exact.
 
-    The cliques at the locality radius are evaluated in one stacked call.
+    `subset_count` with the trivial context: the p-cliques of the geometric
+    graph at the locality radius, evaluated in one stacked call.
     """
-    if g.arity > len(cloud):
-        return 0
-    graph = geometric_graph(cloud, g.locality_radius())
-    above = [set(nbrs) for nbrs in graph.adjacency_above]
-    cliques = np.array(list(_iter_cliques(above, g.arity)), dtype=np.intp).reshape(-1, g.arity)
-    return int(np.count_nonzero(g.holds(cloud.points[cliques])))
+    return subset_count(trivial_context() * g, cloud)
 
 
 def subset_count(h: SubsetPropertyDescriptor, cloud: PointCloud) -> int:
@@ -483,92 +541,22 @@ def subset_counts(h: SubsetPropertyDescriptor, clouds: Sequence[PointCloud]) -> 
     """`subset_count` of each cloud of a batch, with one base evaluation for all of them.
 
     The clouds are stacked one after another. One neighbour pass labels the
-    components of the context's graph in every cloud (`ContextIndicator.labels`)
-    and a second finds the pairs at the base's locality radius
-    (`geometry._close_pairs`); each cloud's isolated p-unions are then grown
-    from its own slice of both, as `_isolated_unions` says. The base is
-    evaluated once, on the stack of the unions of every cloud, and its hits
-    are summed per cloud. With the trivial context each cloud is a
-    `count_property`. Returns one count per cloud, as an int64 array.
+    components of the context's graph in every cloud (`ContextIndicator.labels`;
+    with the trivial context each point is its own component) and a second
+    finds the pairs at the base's locality radius (`geometry._close_pairs`).
+    `_unions` grows the p-point unions of components that are cliques there,
+    for the whole batch at once: the isolated p-cliques, or with the trivial
+    context all p-cliques. The base is evaluated once, on the stack of them
+    all, and its hits are summed per cloud. Returns one count per cloud, as
+    an int64 array.
     """
-    base, p = h.base, h.arity
-    if h.context.trivial:
-        return np.array([count_property(base, cloud) for cloud in clouds], dtype=np.int64)
     if not clouds:
         return np.zeros(0, dtype=np.int64)
     points, sizes = _stacked(clouds)
-    ends = np.cumsum(sizes).tolist()
-    labels = h.context.labels(points, sizes)
-    pairs = _close_pairs(points, sizes, base.locality_radius())
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]  # so each cloud's pairs are a run
-    cuts = np.searchsorted(pairs[:, 0], [0] + ends).tolist()
-    unions = []
-    for c, (start, end) in enumerate(zip([0] + ends, ends)):
-        if end - start < p:
-            continue
-        found = _isolated_unions(p, labels[start:end] - labels[start],
-                                 pairs[cuts[c]:cuts[c + 1]] - start)
-        unions.append((c, np.array(found, dtype=np.intp).reshape(-1, p) + start))
-    if not unions:
-        return np.zeros(len(clouds), dtype=np.int64)
-    owner = np.concatenate([np.full(len(found), c) for c, found in unions])
-    stack = points[np.concatenate([found for _, found in unions])]
-    return np.bincount(owner[base.holds(stack)], minlength=len(clouds))
-
-
-def _isolated_unions(p: int, labels: np.ndarray, pairs: np.ndarray) -> list[list[int]]:
-    """The p-subsets of one cloud, indices ascending, that an isolated count evaluates.
-
-    `labels` numbers the components of the context's graph on the cloud's
-    points (by smallest member) and `pairs` are the cloud's pairs at the
-    base's locality radius. An isolated subset is a union of components of
-    the context's graph, and a qualifying one is also a clique of the
-    geometric graph at the locality radius. So this keeps the components
-    that can take part in such a union (p points, or fewer and an edge at
-    the locality radius to a component that fits beside them), grows unions
-    of them in ascending label order, drops a branch as soon as a component
-    is not adjacent there to every point already chosen, and returns each
-    union of exactly p points. These are the isolated p-cliques, the same
-    sets a clique count would keep.
-    """
-    sizes = np.bincount(labels)
-    a, b = labels[pairs[:, 0]], labels[pairs[:, 1]]
-    # A component can join a union of p points when it has p points itself, or
-    # fewer and an edge to another component that fits beside it.
-    joins = (a != b) & (sizes[a] + sizes[b] <= p)
-    usable = sizes == p
-    usable[a[joins]] = True
-    usable[b[joins]] = True
-    points = np.flatnonzero(usable[labels])
-    pieces: dict[int, list[int]] = {}
-    for i, label in zip(points.tolist(), labels[points].tolist()):
-        pieces.setdefault(label, []).append(i)
-    adjacent: dict[int, set[int]] = {i: set() for piece in pieces.values() for i in piece}
-    for i, j in pairs[usable[a] & usable[b]].tolist():
-        adjacent[i].add(j)
-        adjacent[j].add(i)
-    # A component that is no clique at the locality radius is dropped; `reach`
-    # holds the kept points adjacent to all of a component.
-    pieces = [piece for _, piece in sorted(pieces.items())
-              if all(len(adjacent[i].intersection(piece)) == len(piece) - 1 for i in piece)]
-    piece_of = {i: c for c, piece in enumerate(pieces) for i in piece}
-    kept = set(piece_of)
-    reach = [set.intersection(*(adjacent[i] for i in piece)) & kept for piece in pieces]
-    unions: list[list[int]] = []
-
-    def grow(last: int, chosen: list[int], allowed: set[int]) -> None:
-        for c in sorted({piece_of[i] for i in allowed if piece_of[i] > last}):
-            piece = pieces[c]
-            if len(chosen) + len(piece) > p or not allowed.issuperset(piece):
-                continue
-            union = chosen + piece
-            if len(union) == p:
-                unions.append(sorted(union))
-            else:
-                grow(c, union, allowed & reach[c])
-
-    grow(-1, [], kept)
-    return unions
+    cloud_of = np.repeat(np.arange(len(clouds)), sizes)
+    rows = _unions(h.arity, h.context.labels(points, sizes),
+                   _close_pairs(points, sizes, h.base.locality_radius()), cloud_of)
+    return np.bincount(cloud_of[rows[:, 0]][h.base.holds(points[rows])], minlength=len(clouds))
 
 
 def component_count(gamma: SmallGraph, cloud: PointCloud, r: float) -> int:
@@ -630,6 +618,47 @@ def estimate_mu(g: PropertyDescriptor, f: Density, samples: int,
     return MuEstimate(mean, se)
 
 
+def _drawn(draw: Callable[[], PointCloud], trials: int) -> Iterator[list[PointCloud]]:
+    """`trials` clouds from `draw`, drawn in order, in batches of at most `_BATCH_POINTS` points.
+
+    A cloud larger than that is a batch of its own.
+    """
+    batch, held = [], 0
+    for _ in range(trials):
+        cloud = draw()
+        if batch and held + len(cloud) > _BATCH_POINTS:
+            yield batch
+            batch, held = [], 0
+        batch.append(cloud)
+        held += len(cloud)
+    if batch:
+        yield batch
+
+
+def _poisson_counts(h: SubsetPropertyDescriptor, n: float, f: Density, trials: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """`subset_count` of `trials` clouds `sample_poisson(n, f, rng)`, drawn in order, as floats."""
+    batches = _drawn(lambda: sample_poisson(n, f, rng), trials)
+    return np.concatenate([subset_counts(h, batch) for batch in batches]).astype(np.float64)
+
+
+def _anchor_holds(h: SubsetPropertyDescriptor, clouds: Sequence[PointCloud]) -> np.ndarray:
+    """Whether h holds for the first p points of each cloud of a batch, in its cloud.
+
+    They are isolated when the components of the context's graph that they
+    touch hold no other point; the base is evaluated once, on those that are.
+    """
+    points, sizes = _stacked(clouds)
+    labels = h.context.labels(points, sizes)
+    heads = (np.cumsum(sizes) - sizes)[:, None] + np.arange(h.arity)
+    touched = labels[heads]
+    inside = np.bincount(touched.ravel(), minlength=len(points))
+    isolated = (np.bincount(labels)[touched] == inside[touched]).all(axis=1)
+    held = np.zeros(len(clouds), dtype=bool)
+    held[isolated] = h.base.holds(points[heads[isolated]])
+    return held
+
+
 @dataclass(frozen=True)
 class PalmResult:
     lhs: float
@@ -650,28 +679,28 @@ def palm_check(h: SubsetPropertyDescriptor, n: float, f: Density, trials: int,
         E[sum over p-subsets of h]  ==  (n^p / p!) * E[h(X_p, X_p + P_n)]
 
     with X_p an independent binomial sample. Both sides are estimated by
-    Monte Carlo and compared at three standard errors.
+    Monte Carlo and compared at three standard errors. The clouds are drawn
+    one trial after another, in the order of a per-trial loop, and each side
+    is evaluated in batches of at most `_BATCH_POINTS` points.
     """
     if trials < 2:
         raise ValueError(f"need at least two trials, got {trials}")
     p = h.arity
-    lhs_vals = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        lhs_vals[t] = subset_count(h, sample_poisson(n, f, rng))
+    lhs_vals = _poisson_counts(h, n, f, trials, rng)
     lhs = float(lhs_vals.mean())
     lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(trials))
 
-    rhs_trials = trials if rhs_trials is None else rhs_trials
-    factor = n ** p / math.factorial(p)
-    rhs_vals = np.empty(rhs_trials, dtype=np.float64)
-    for t in range(rhs_trials):
+    def anchored() -> PointCloud:
         anchor = sample_binomial(p, f, rng)
         if h.context.trivial:
-            rhs_vals[t] = h.base(anchor.points)
-        else:
-            ambient = sample_poisson(n, f, rng)
-            union = PointCloud(f.dim, np.vstack([anchor.points, ambient.points]))
-            rhs_vals[t] = h.evaluate(union, tuple(range(p)))
+            return anchor
+        ambient = sample_poisson(n, f, rng)
+        return PointCloud(f.dim, np.vstack([anchor.points, ambient.points]))
+
+    rhs_trials = trials if rhs_trials is None else rhs_trials
+    factor = n ** p / math.factorial(p)
+    rhs_vals = np.concatenate([_anchor_holds(h, batch)
+                               for batch in _drawn(anchored, rhs_trials)]).astype(np.float64)
     rhs = factor * float(rhs_vals.mean())
     rhs_se = factor * float(rhs_vals.std(ddof=1) / math.sqrt(rhs_trials))
     return PalmResult(lhs, lhs_se, rhs, rhs_se,
@@ -713,13 +742,9 @@ def convergence_diagnostic(family: Callable[[float], PropertyDescriptor | Subset
     for n in n_grid:
         r_n = c * float(n) ** q
         descriptor = family(r_n)
-        counts = np.empty(trials, dtype=np.float64)
-        for t in range(trials):
-            cloud = sample_poisson(n, f, rng)
-            if isinstance(descriptor, SubsetPropertyDescriptor):
-                counts[t] = subset_count(descriptor, cloud)
-            else:
-                counts[t] = count_property(descriptor, cloud)
+        if not isinstance(descriptor, SubsetPropertyDescriptor):
+            descriptor = trivial_context() * descriptor
+        counts = _poisson_counts(descriptor, n, f, trials, rng)
         p = descriptor.arity
         denom = float(n) * (r_n ** d * float(n)) ** (p - 1)
         mean = float(counts.mean())

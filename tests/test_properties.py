@@ -8,11 +8,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from cechlab import properties
 from cechlab.errors import ConfigurationError
-from cechlab.geometry import PointCloud, ball_volume, geometric_graph
+from cechlab.geometry import PointCloud, _close_pairs, ball_volume, geometric_graph
 from cechlab.persistence import persistent_betti, persistent_bettis
 from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
-                                _graphs_isomorphic, _three_sigma_overlap,
+                                _graphs_isomorphic, _three_sigma_overlap, _unions,
                                 comp, component_count, conn,
                                 convergence_diagnostic, count_property,
                                 diagnostic_rows_to_csv, estimate_mu,
@@ -561,6 +562,116 @@ def test_isolated_counts_match_the_clique_loop_on_criterion_6_clouds(m, theta, c
             assert count == _clique_loop_count(counted, cloud), (t, counted.name)
             found[i] += count
     assert found[1] > 0 and (found[0] > 0 or m == 4), found
+
+
+def _combination_rows(clouds: list, p: int, r_sep: float | None, radius: float) -> list:
+    """Stacked rows of the p-subsets of each cloud, in `itertools.combinations`
+    order, that are cliques at `radius` and, with r_sep, isolated at r_sep."""
+    rows, start = [], 0
+    for cloud in clouds:
+        pts = cloud.tolist()
+        for idx in combinations(range(len(pts)), p):
+            if r_sep is not None and not _isolated_by_brute_force(pts, idx, r_sep):
+                continue
+            if all(_within_2r(pts[i], pts[j], radius / 2.0) for i, j in combinations(idx, 2)):
+                rows.append([start + i for i in idx])
+        start += len(pts)
+    return rows
+
+
+def _union_batch(rng: np.random.Generator) -> list:
+    """Small clouds for the union enumerator: empty ones, clouds of fewer points
+    than most arities, duplicates, a dense cluster (components of more than p
+    points), sparse picks of the lattice of step S (exact ties at S and its
+    multiples) and random clouds."""
+    grid = cubic_lattice(2, 36)
+    return ([np.zeros((0, 2)), rng.random((1, 2)), rng.random((2, 2)) * 0.1,
+             np.repeat(rng.random((3, 2)) * 0.3, 2, axis=0), rng.random((9, 2)) * 0.06]
+            + [grid[rng.choice(36, int(rng.integers(8, 13)), replace=False)] for _ in range(4)]
+            + [np.zeros((0, 2))]
+            + [rng.random((int(n), 2)) * 0.5 for n in rng.integers(3, 11, 4)])
+
+
+def test_union_rows_and_order_are_the_combinations():
+    # The batched enumerator returns exactly the isolated (or, with the trivial
+    # context, all) locality cliques, in each cloud's combinations order, cloud
+    # after cloud; ties at 2r and at the locality radius are closed.
+    rng = np.random.default_rng(229)
+    found = 0
+    for _ in range(3):
+        clouds = _union_batch(rng)
+        sizes = [len(c) for c in clouds]
+        points = np.concatenate(clouds)
+        cloud_of = np.repeat(np.arange(len(clouds)), sizes)
+        for r_sep, radius in ((S / 2.0, 2.0 * S), (S / 2.0, math.sqrt(2.0) * S), (S, 2.0 * S),
+                              (S / 2.0, 3.0 * S), (None, S), (None, 2.0 * S), (0.03, 0.2)):
+            context = trivial_context() if r_sep is None else sep(r_sep)
+            labels = context.labels(points, sizes)
+            pairs = _close_pairs(points, sizes, radius)
+            for p in range(1, 6):
+                rows = _unions(p, labels, pairs, cloud_of)
+                assert rows.shape == (len(rows), p) and rows.dtype == np.intp
+                expected = _combination_rows(clouds, p, r_sep, radius)
+                assert rows.tolist() == expected, (r_sep, radius, p)
+                found += len(expected) > 0
+    assert found >= 60, found
+
+
+def test_plain_counts_on_dense_clouds_match_exhaustive_enumeration():
+    # Nearly every p-subset is a clique at the locality radius, and the cliques
+    # overlap in every way.
+    rng = np.random.default_rng(233)
+    for _ in range(6):
+        cloud = PointCloud(2, rng.random((int(rng.integers(9, 14)), 2)) * 0.3)
+        for p in (2, 3, 4, 5):
+            for g in (conn(0.06, p), iso_graph(SmallGraph.complete(p), 0.15, p),
+                      iso_graph(SmallGraph.path(p), 0.12, p), spread(0.05, p)):
+                assert count_property(g, cloud) == _brute_count(g, cloud), (p, g.name)
+
+
+def test_oversized_union_frontier_fails_fast(monkeypatch):
+    # The cap counts one cloud's candidates: a batch of small dense clouds
+    # stays under it, a dense cloud at a high arity raises before growing.
+    monkeypatch.setattr(properties, "_MAX_UNION_CANDIDATES", 50)
+    rng = np.random.default_rng(239)
+    g = conn(0.1, 3)
+    small = [PointCloud(2, rng.random((5, 2)) * 0.1) for _ in range(20)]
+    assert subset_counts(trivial_context() * g, small).tolist() == \
+        [_brute_count(g, cloud) for cloud in small] == [10] * 20
+    dense = PointCloud(2, rng.random((30, 2)) * 0.1)
+    with pytest.raises(ConfigurationError, match="435 candidate unions of 2 components"):
+        count_property(g, dense)
+    with pytest.raises(ConfigurationError, match="candidate unions"):
+        subset_counts(sep(1e-4) * g, small + [dense])
+
+
+def test_palm_and_diagnostic_batches_are_the_per_trial_loop(monkeypatch):
+    # Clouds are drawn in the per-trial order and counted in batches; a small
+    # batch bound makes several batches.
+    monkeypatch.setattr(properties, "_BATCH_POINTS", 40)
+    f = Density.unit_cube(2)
+    for h in (comp(0.08, 2), trivial_context() * conn(0.08, 2),
+              sep(0.05) * iso_graph(SmallGraph.complete(2), 0.1, 2)):
+        result = palm_check(h, 12.0, f, 30, stream(241), rhs_trials=50)
+        rng = stream(241)
+        lhs = [subset_count(h, sample_poisson(12.0, f, rng)) for _ in range(30)]
+        rhs = []
+        for _ in range(50):
+            anchor = sample_binomial(2, f, rng)
+            if h.context.trivial:
+                rhs.append(h.base(anchor.points))
+            else:
+                ambient = sample_poisson(12.0, f, rng)
+                union = PointCloud(2, np.vstack([anchor.points, ambient.points]))
+                rhs.append(h.evaluate(union, (0, 1)))
+        assert result.lhs == float(np.array(lhs, dtype=np.float64).mean()), h.name
+        assert result.rhs == 12.0 ** 2 / 2 * float(np.array(rhs, dtype=np.float64).mean())
+        assert 0 < sum(rhs) < 50
+    rows = convergence_diagnostic(lambda r: conn(r, 2), f, 0.4, -0.75, [30.0], 20, stream(251))
+    rng = stream(251)
+    counts = [count_property(conn(0.4 * 30.0 ** -0.75, 2), sample_poisson(30.0, f, rng))
+              for _ in range(20)]
+    assert rows[0].count_mean == float(np.array(counts, dtype=np.float64).mean()) > 0
 
 
 def test_count_on_undersized_cloud_is_zero():
