@@ -19,7 +19,7 @@ from .render import render_balls
 from .sampling import Density, sample_binomial, sample_in_ball, sample_poisson, stream
 from .witness import (CycleWitness, MBracket, bracket_m, construct_witness,
                       perturb_and_verify, perturbation_radius, search_m,
-                      upper_bound_constant, zeta_indicator)
+                      upper_bound_constant)
 
 __version__ = "0.1.0"
 
@@ -41,5 +41,4 @@ __all__ = [
     "search_m", "sep", "spread", "stream", "subset_count", "subset_counts",
     "trivial_context",
     "upper_bound_constant", "upsilon", "write_manifest", "zeta",
-    "zeta_indicator",
 ]

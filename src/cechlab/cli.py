@@ -173,7 +173,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     _manifest(args, "count", {"cloud": str(args.cloud), "property": args.property,
                               "r": args.r, "p": args.p, "theta": args.theta,
                               "k": args.k, "graph": args.graph,
-                              "isolated": args.isolated})
+                              "isolated": args.isolated, "field": args.field})
     print(value)
     return 0
 
@@ -186,7 +186,9 @@ def _cmd_mu(args: argparse.Namespace) -> int:
     estimate = estimate_mu(descriptor, density, args.samples, stream(args.seed, 0))
     _manifest(args, "mu", {"property": args.property, "p": args.p,
                            "theta": args.theta, "k": args.k, "graph": args.graph,
-                           "d": args.d, "samples": args.samples, "seed": args.seed})
+                           "d": args.d, "box": [list(b) for b in density.box],
+                           "field": args.field, "samples": args.samples,
+                           "seed": args.seed})
     print(f"mu = {estimate.value:.6g} +/- {estimate.std_error:.2g} (1 SE)")
     return 0
 
@@ -200,8 +202,10 @@ def _cmd_palm(args: argparse.Namespace) -> int:
                         stream(args.seed, 0), rhs_trials=args.rhs_trials)
     _manifest(args, "palm", {"property": args.property, "r": args.r, "p": args.p,
                              "theta": args.theta, "k": args.k, "graph": args.graph,
-                             "isolated": args.isolated, "n": args.n,
-                             "trials": args.trials, "seed": args.seed})
+                             "isolated": args.isolated, "n": args.n, "d": args.d,
+                             "box": [list(b) for b in density.box], "field": args.field,
+                             "trials": args.trials, "rhs_trials": args.rhs_trials,
+                             "seed": args.seed})
     print(f"lhs = {result.lhs:.6g} +/- {result.lhs_se:.2g}")
     print(f"rhs = {result.rhs:.6g} +/- {result.rhs_se:.2g}")
     print("agree within 3 SE" if result.agree else "DISAGREE beyond 3 SE")

@@ -305,14 +305,6 @@ class GeometricGraph:
     edges: tuple[tuple[int, int], ...]  # i < j, sorted
 
     @cached_property
-    def adjacency_above(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbors with larger index, ascending; used by clique growth."""
-        adj: list[list[int]] = [[] for _ in range(len(self.cloud))]
-        for i, j in self.edges:
-            adj[i].append(j)
-        return tuple(tuple(sorted(s)) for s in adj)
-
-    @cached_property
     def labels(self) -> np.ndarray:
         """Connected-component label of each point, from 0 to component_count() - 1."""
         return _labels(len(self.cloud), np.array(self.edges, dtype=np.intp).reshape(-1, 2))

@@ -1,10 +1,14 @@
 """Persistent homology of Cech filtrations over a prime field.
 
-`compute_persistence` runs boundary-matrix column reduction with the
-clearing optimization (dimensions processed top down, so columns known
-to be births are skipped). `persistent_betti_oracle` is an independent
-check that never touches the reduction: with K = Cech_r and
-L = Cech_{theta*r} (theta >= 1), it computes by dense Gaussian elimination
+One reducer serves every caller: `_pivot_rows` reduces the boundary
+columns of one dimension, given as an index array in the order wanted,
+and returns its pivots as (row, column) pairs. `compute_persistence`
+reads its diagram off those pairs (`_diagram`: dimensions reduced top
+down, columns in value order, with clearing, so columns known to be
+births are skipped), and the ranks below read only their rows.
+`persistent_betti_oracle` is an independent check that never touches
+the reduction: with K = Cech_r and L = Cech_{theta*r} (theta >= 1), it
+computes by dense Gaussian elimination
 
     dim Z_k(K) - rank d_{k+1}(L) + rank of d_{k+1}(L) on the rows outside K,
 
@@ -61,14 +65,15 @@ numbered by component and then value, so the components never mix. For
 k = 1, rank d_k(K) is vertices minus components of K's 1-skeleton;
 above, it is the pivot count of a second pass over K's k-columns that
 skips the k-simplices that are pivots of the first (clearing: such a
-column is a sum of columns before it in the same row order).
-`compute_persistence` stays the diagram API.
+column is a sum of columns before it in the same row order). The
+diagrams of `compute_persistence` and of the witness search come from
+the same reducer, with the columns in value order.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
@@ -147,24 +152,12 @@ class PersistenceDiagram:
             for dim, birth, death in self.intervals:
                 writer.writerow([dim, repr(birth), "inf" if math.isinf(death) else repr(death)])
 
-    @staticmethod
-    def load_csv(path: str | Path, field_spec: FieldSpec = GF2) -> "PersistenceDiagram":
-        rows: list[tuple[int, float, float]] = []
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            if header != ["dim", "birth", "death"]:
-                raise ValueError(f"unexpected diagram header {header}")
-            for dim, birth, death in reader:
-                rows.append((int(dim), float(birth), float(death)))
-        return PersistenceDiagram(tuple(rows), field_spec)
 
-
-def _reduce_gf2(col: int, pivots: dict[int, int], base: int = 0) -> int | None:
+def _reduce_gf2(col: int, pivots: dict[int, int], base: int = 0) -> int:
     """Reduce a GF(2) column against `pivots` and record it; return its pivot row.
 
     The column is a bitmask whose bit i stands for row base + i; `pivots`
-    maps a pivot row to its reduced column. Returns None if the column
+    maps a pivot row to its reduced column. Returns -1 if the column
     reduces to zero.
     """
     while col:
@@ -174,10 +167,10 @@ def _reduce_gf2(col: int, pivots: dict[int, int], base: int = 0) -> int | None:
             pivots[low] = col
             return low
         col ^= pivot
-    return None
+    return -1
 
 
-def _reduce_gfp(col: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> int | None:
+def _reduce_gfp(col: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> int:
     """`_reduce_gf2` over F_p, for a column given as a row -> coefficient dict."""
     while col:
         low = max(col)
@@ -192,55 +185,59 @@ def _reduce_gfp(col: dict[int, int], pivots: dict[int, dict[int, int]], p: int) 
                 col[row] = new
             else:
                 col.pop(row, None)
-    return None
+    return -1
 
 
 def compute_persistence(complex_: FilteredComplex,
                         field_spec: FieldSpec = GF2) -> PersistenceDiagram:
     """Persistence diagram of a filtered complex over F_p.
 
+    The simplices are grouped by dimension and the components of the edges
+    label their vertices (`geometry._labels`), so each column of the
+    reduction is a bitmask over its own component's rows (`_diagram`).
+    Raises ValueError if a face of a simplex is missing from the complex.
     Deterministic: identical inputs give identical diagrams.
     """
-    simplices = complex_.simplices
-    index_of: dict[tuple[int, ...], int] = {verts: i for i, (verts, _) in enumerate(simplices)}
-    by_dim: dict[int, list[int]] = {}
-    for i, (verts, _) in enumerate(simplices):
-        by_dim.setdefault(len(verts) - 1, []).append(i)
+    top = max((len(verts) - 1 for verts, _ in complex_.simplices), default=0)
+    grouped: list[list] = [[] for _ in range(top + 1)]
+    for verts, value in complex_.simplices:
+        grouped[len(verts) - 1].append((verts, value))
+    simplices = [(np.array([verts for verts, _ in of_q], dtype=np.intp).reshape(-1, q + 1),
+                  np.array([value for _, value in of_q], dtype=np.float64))
+                 for q, of_q in enumerate(grouped)]
+    n = complex_.vertex_count
+    labels = _labels(n, simplices[1][0]) if top else np.zeros(n, dtype=np.intp)
+    return _diagram(simplices, labels, field_spec)
 
-    p = field_spec.characteristic
-    pairs: dict[int, int] = {}  # birth index -> death index
-    cleared: set[int] = set()
-    top = max(by_dim) if by_dim else 0
-    for q in range(top, 0, -1):
-        pivots: dict = {}
-        for idx in by_dim.get(q, []):
-            if idx in cleared:
-                continue
-            verts = simplices[idx][0]
-            rows = [index_of[verts[:omit] + verts[omit + 1:]] for omit in range(len(verts))]
-            if p == 2:
-                col = 0
-                for row in rows:
-                    col |= 1 << row
-                low = _reduce_gf2(col, pivots)
-            else:
-                low = _reduce_gfp({row: (-1) ** omit % p for omit, row in enumerate(rows)},
-                                  pivots, p)
-            if low is not None:
-                pairs[low] = idx
-                cleared.add(low)
 
-    death_cols = set(pairs.values())
-    intervals: list[tuple[int, float, float]] = []
-    for birth_idx, death_idx in pairs.items():
-        birth = simplices[birth_idx][1]
-        death = simplices[death_idx][1]
-        if birth < death:
-            intervals.append((len(simplices[birth_idx][0]) - 1, birth, death))
-    for i, (verts, value) in enumerate(simplices):
-        if i not in pairs and i not in death_cols:
-            intervals.append((len(verts) - 1, value, math.inf))
-    intervals.sort()
+def _diagram(simplices: list[tuple[np.ndarray, np.ndarray]], labels: np.ndarray,
+             field_spec: FieldSpec) -> PersistenceDiagram:
+    """Persistence diagram of simplices given per dimension as (vertices, values).
+
+    The simplices may come in any order, and `labels` gives each vertex a
+    component that holds every simplex through it (any coarser partition
+    serves, one label for all included). Each dimension's columns are
+    reduced by `_pivot_rows` in value order, from the top dimension down,
+    skipping the simplices paired as births by the dimension above
+    (clearing). The order of simplices of equal value changes which of them
+    pair, not the intervals: zero-length pairs are dropped, and the
+    simplices left unpaired are the essential classes.
+    """
+    # The death of each simplex as a birth: inf while unpaired, -inf once it
+    # is a death itself, so that `value < end` keeps exactly the intervals.
+    ends = [np.full(len(values), math.inf) for _, values in simplices]
+    for q in range(len(simplices) - 1, 0, -1):
+        order = np.argsort(simplices[q][1], kind="stable")
+        columns = order[ends[q][order] == math.inf]  # not births of the dimension above
+        rows, cols = _pivot_rows(simplices, q, labels, field_spec.characteristic, columns)
+        ends[q - 1][rows] = simplices[q][1][cols]
+        ends[q][cols] = -math.inf
+    kept = [values < end for (_, values), end in zip(simplices, ends)]
+    dims = np.repeat(np.arange(len(simplices)), [int(mask.sum()) for mask in kept])
+    births = np.concatenate([values[mask] for (_, values), mask in zip(simplices, kept)])
+    deaths = np.concatenate([end[mask] for end, mask in zip(ends, kept)])
+    order = np.lexsort((deaths, births, dims))
+    intervals = zip(dims[order].tolist(), births[order].tolist(), deaths[order].tolist())
     return PersistenceDiagram(tuple(intervals), field_spec)
 
 
@@ -306,7 +303,8 @@ def _persistent_bettis(points: np.ndarray, sizes: Sequence[int], r: float, theta
     vertices = simplices[0][0][:, 0]
     inner = simplices[k][1] <= r
     born = per_cloud(simplices[k][0][inner, 0])
-    lows = _pivot_rows(simplices, k + 1, labels, field_spec.characteristic)
+    p = field_spec.characteristic
+    lows = _pivot_rows(simplices, k + 1, labels, p, np.arange(len(simplices[k + 1][1])))[0]
     filled = per_cloud(simplices[k][0][lows[inner[lows]], 0])
     if k == 1:
         inner_labels = _labels(len(vertices), np.searchsorted(vertices, simplices[1][0][inner]))
@@ -314,7 +312,7 @@ def _persistent_bettis(points: np.ndarray, sizes: Sequence[int], r: float, theta
         boundaries = per_cloud(vertices) - per_cloud(vertices[first])
     else:
         inner[lows] = False  # cleared: a pivot row's own column reduces to zero
-        pivots = _pivot_rows(simplices, k, labels, field_spec.characteristic, inner)
+        pivots = _pivot_rows(simplices, k, labels, p, np.flatnonzero(inner))[0]
         boundaries = per_cloud(simplices[k - 1][0][pivots, 0])
     return born - boundaries - filled
 
@@ -355,24 +353,27 @@ def _component_complexes(
 
 
 def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: np.ndarray,
-                p: int, columns: np.ndarray | None = None) -> np.ndarray:
-    """Pivot rows of the reduced boundary matrix of the q-simplices over F_p.
+                p: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots of the reduced boundary matrix of the q-simplices over F_p, as (row, column) pairs.
 
     `simplices` holds (vertices, values) per dimension for disjoint
-    components (`labels` of their vertices); `columns` selects q-simplices
-    (all by default), reduced in one pass, in any order. Rows are the
+    components (`labels` of their vertices); `columns` indexes the
+    q-simplices to reduce, in the order they are reduced. Rows are the
     (q-1)-simplices ordered by component and, within one, by value, ties in
-    any order: so the pivots among rows of value <= r number
-    dim(B_{q-1}(K) & C_{q-1}(K_r)). Over F_2 a column is a bitmask over its
-    component's rows; pivots are keyed by global row. Returns the pivot
-    rows as indices into the (q-1)-simplices.
+    their given order: so the pivots among rows of value <= r number
+    dim(B_{q-1}(K) & C_{q-1}(K_r)) whatever the column order, and with
+    the columns in value order the pairs are persistence pairs. Over F_2
+    a column is a bitmask over its component's rows; pivots are keyed by
+    global row. Returns, for the columns that do not reduce to zero, their
+    pivot rows as indices into the (q-1)-simplices and the columns as
+    indices into the q-simplices, as two arrays.
     """
     faces, values = simplices[q - 1]
     component = labels[faces[:, 0]]
     order = np.lexsort((values, component))
     row = np.empty(len(order), dtype=np.intp)
     row[order] = np.arange(len(order))
-    cofaces = simplices[q][0] if columns is None else simplices[q][0][columns]
+    cofaces = simplices[q][0][columns]
     rows = row[_facet_index(simplices, cofaces, len(labels))]
     pivots: dict = {}
     if p == 2:
@@ -385,24 +386,28 @@ def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: 
         cols = [1 << i for i in local[0]]
         for facet in local[1:]:
             cols = [col | (1 << i) for col, i in zip(cols, facet)]
-        for col, first in zip(cols, base.tolist()):
-            _reduce_gf2(col, pivots, first)
+        lows = [_reduce_gf2(col, pivots, first) for col, first in zip(cols, base.tolist())]
     else:
         signs = [(-1) ** omit % p for omit in range(q + 1)]
-        for facets in rows.tolist():
-            _reduce_gfp(dict(zip(facets, signs)), pivots, p)
-    return order[np.fromiter(pivots, dtype=np.intp, count=len(pivots))]
+        lows = [_reduce_gfp(dict(zip(facets, signs)), pivots, p) for facets in rows.tolist()]
+    lows = np.array(lows, dtype=np.intp)
+    paired = lows >= 0
+    return order[lows[paired]], columns[paired]
 
 
 def _facet_index(simplices: list[tuple[np.ndarray, np.ndarray]], cofaces: np.ndarray,
                  n: int) -> np.ndarray:
-    """Index into the (q-1)-simplices of facet j (without vertex j) of each q-simplex."""
+    """Index into the (q-1)-simplices of facet j (without vertex j) of each q-simplex.
+
+    Raises ValueError if a facet is missing from the (q-1)-simplices.
+    """
     q = cofaces.shape[1] - 1
     faces = simplices[q - 1][0]
-    facets = np.concatenate([faces] + [np.delete(cofaces, j, axis=1) for j in range(q + 1)])
+    drop = [[i for i in range(q + 1) if i != j] for j in range(q + 1)]  # facet j's vertices
+    facets = np.concatenate([faces, cofaces[:, drop].transpose(1, 0, 2).reshape(-1, q)])
     codes = _codes(simplices, facets, n)
     by_code = np.argsort(codes[:len(faces)])
-    found = by_code[np.searchsorted(codes[:len(faces)][by_code], codes[len(faces):])]
+    found = by_code[_find(codes[:len(faces)][by_code], codes[len(faces):])]
     return found.reshape(q + 1, len(cofaces)).T
 
 
@@ -412,15 +417,29 @@ def _codes(simplices: list[tuple[np.ndarray, np.ndarray]], verts: np.ndarray,
 
     Rows of `verts` are ascending vertices among n. A vertex is its own
     code; a simplex of c >= 2 vertices is the code of its first c-1
-    vertices (a face, so in the complex), replaced by its rank among the
-    codes of those faces when c-1 >= 2, times n, plus its last vertex.
+    vertices (a face, so in the complex; ValueError if it is not), replaced
+    by its rank among the codes of those faces when c-1 >= 2, times n, plus
+    its last vertex.
     """
     code = verts[:, 0].astype(np.int64)
     for c in range(1, verts.shape[1]):
         if c >= 2:
-            code = np.searchsorted(np.sort(_codes(simplices, simplices[c - 1][0], n)), code)
+            code = _find(np.sort(_codes(simplices, simplices[c - 1][0], n)), code)
         code = code * n + verts[:, c]
     return code
+
+
+def _find(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Position of each wanted code among the sorted codes `keys` of a dimension.
+
+    Raises ValueError if one is absent: a face of a simplex is missing.
+    """
+    at = np.searchsorted(keys, wanted)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == wanted[hit]
+    if not hit.all():
+        raise ValueError("a face of a simplex is missing from the complex")
+    return at
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:

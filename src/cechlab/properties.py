@@ -269,20 +269,6 @@ class ContextIndicator:
             return np.arange(len(points))
         return _labels(len(points), _close_pairs(points, sizes, 2.0 * self.scale))
 
-    def make(self, cloud: PointCloud) -> Callable[[Sequence[int]], bool]:
-        """Indicator of index subsets of this cloud."""
-        if self.trivial:
-            return lambda indices: True
-        labels = self.labels(cloud.points, [len(cloud)])
-        sizes = np.bincount(labels).tolist()
-        labels = labels.tolist()
-
-        def check(indices: Sequence[int]) -> bool:
-            touched = {labels[i] for i in indices}
-            return sum(sizes[c] for c in touched) == len(indices)
-
-        return check
-
     def __mul__(self, base: PropertyDescriptor) -> "SubsetPropertyDescriptor":
         return SubsetPropertyDescriptor(base=base, context=self)
 
@@ -301,12 +287,6 @@ class SubsetPropertyDescriptor:
     @property
     def arity(self) -> int:
         return self.base.arity
-
-    def evaluate(self, cloud: PointCloud, indices: Sequence[int]) -> int:
-        ctx = self.context.make(cloud)
-        if not ctx(indices):
-            return 0
-        return self.base(cloud.points[list(indices)])
 
 
 def trivial_context() -> ContextIndicator:

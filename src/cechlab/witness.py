@@ -15,12 +15,13 @@ local refinement) and bit-equal to each other, and `_batch_ratios`
 scores a batch of 4 to 11 points over GF(2) in one vectorised pass:
 edge and triangle values, their filtration order, and a GF(2) reduction
 of the triangle columns as int64 bitmasks over edge ranks. Its ratios
-are bit-equal to the per-configuration `_config_ratio`, which still
-serves the local refinement of 4 or more points and the other cases:
-k >= 2 (more than triangle columns), other fields (from 6 points on, a
-complex can hold a triangulated projective plane, whose H_1 depends on
-the field) and more than 11 points (C(11, 2) = 55 edge bits fill an
-int64).
+are bit-equal to the per-configuration `_config_ratio`, which reads the
+diagram of the configuration's complete complex (`_best_interval`) off
+the package's one reducer (`persistence._diagram`). It still serves the
+local refinement of 4 or more points and the other cases: k >= 2 (more
+than triangle columns), other fields (from 6 points on, a complex can
+hold a triangulated projective plane, whose H_1 depends on the field)
+and more than 11 points (C(11, 2) = 55 edge bits fill an int64).
 """
 from __future__ import annotations
 
@@ -35,14 +36,13 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (PointCloud, _dist2, _format_cloud, _parse_cloud, _rows_dist2,
                        _triangle_radii)
-from .persistence import FieldSpec, GF2, compute_persistence, persistent_betti
-from .filtration import _build
+from .filtration import _component_filtrations
+from .persistence import FieldSpec, GF2, _diagram, persistent_betti
 from .sampling import sample_in_ball
 
 __all__ = [
     "CycleWitness",
     "MBracket",
-    "zeta_indicator",
     "construct_witness",
     "perturbation_radius",
     "perturb_and_verify",
@@ -111,15 +111,6 @@ class MBracket:
             raise ValueError(f"no degree-{self.k} cycle fits on {self.upper} points")
         if self.lower_searched >= self.upper:
             raise ValueError("bracket is empty: lower bound reached the upper")
-
-
-def zeta_indicator(points: PointCloud | np.ndarray, r: float, theta: float, k: int,
-                   field_spec: FieldSpec = GF2) -> int:
-    """1 iff the point set supports a k-cycle alive from r through theta*r."""
-    if not isinstance(points, PointCloud):
-        points = np.asarray(points, dtype=np.float64)
-        points = PointCloud(points.shape[1], points)
-    return int(persistent_betti(points, r, theta, k, field_spec) >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +264,23 @@ def _best_interval(points: np.ndarray, k: int,
     """Finite degree-k (birth, death) pair with the largest death/birth, if any.
 
     One diagram answers the whole radius scan exactly: a witness radius
-    exists iff some degree-k interval satisfies death/birth > theta.
+    exists iff some degree-k interval satisfies death/birth > theta. The
+    filtration runs out to the diameter, where every pair is an edge and
+    the configuration one component: the complete complex up to dimension
+    k+1 is built straight from all pairs (`_component_filtrations`) and
+    reduced as one component (`_diagram`).
     """
-    cloud = PointCloud(points.shape[1], points)
-    diameter = cloud.diameter()
+    n = len(points)
+    edges = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
+    d2 = _rows_dist2(points[edges[:, 0]], points[edges[:, 1]])
+    diameter = math.sqrt(d2.max()) if n > 1 else 0.0
     if diameter == 0.0:
         return None
-    complex_ = _build(cloud, r_max=diameter, max_dim=k + 1, force=True)
-    diagram = compute_persistence(complex_, field_spec)
+    one = np.zeros(n, dtype=np.intp)
+    simplices = _component_filtrations(points, edges, 0.5 * np.sqrt(d2), one, np.array([True]),
+                                       diameter, k + 1, one[:1])
     best: tuple[float, float] | None = None
-    for birth, death in diagram.in_dimension(k):
+    for birth, death in _diagram(simplices, one, field_spec).in_dimension(k):
         if birth > 0.0 and math.isfinite(death):
             if best is None or death / birth > best[1] / best[0]:
                 best = (birth, death)
@@ -442,10 +440,11 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
     refinement), and batches of 4 to 11 points over GF(2) in one vectorised
     diagram pass (`_batch_ratios`), bit-equal to scoring each configuration
     alone. The refinement of 4 or more points and every other case score
-    each configuration through its own persistence diagram (`_config_ratio`):
-    for k >= 2 the complex has more than triangle columns, over other fields
-    a 6-point projective plane has another H_1, and above 11 points the
-    edges do not fit an int64 bitmask.
+    one configuration at a time (`_config_ratio`), by the diagram of its
+    complete complex from the package's one reducer: for k >= 2 the
+    complex has more than triangle columns, over other fields a 6-point
+    projective plane has another H_1, and above 11 points the edges do not
+    fit an int64 bitmask.
     """
     if d < 1 or k < 1 or p < 1:
         raise ValueError(f"invalid search parameters d={d}, k={k}, p={p}")

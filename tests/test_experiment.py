@@ -22,10 +22,10 @@ from cechlab.experiment import (AuditRow, ExperimentSpec, ResultRow, audit_csv, 
                                 results_csv, run_experiment, write_manifest)
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
-from cechlab.persistence import compute_persistence, persistent_betti, persistent_bettis
+from cechlab.persistence import persistent_betti, persistent_bettis
 from cechlab.render import render_balls
 from cechlab.sampling import Density, sample_poisson, stream
-from scalar_cech import scalar_build
+from scalar_cech import scalar_build, scalar_persistence
 
 _UNIT = [(0.0, 1.0), (0.0, 1.0)]
 _FORK = os.fork
@@ -465,12 +465,38 @@ def test_cli_persistence_and_render(tmp_path):
                      "--r-max", "0.4", "--out", str(diagram_path)]) == 0
     assert diagram_path.read_text().startswith("dim,birth,death")
     reference_path = tmp_path / "reference.csv"
-    compute_persistence(scalar_build(PointCloud.load(cloud_path), 0.4, 2)).save_csv(reference_path)
+    scalar_persistence(scalar_build(PointCloud.load(cloud_path), 0.4, 2)).save_csv(reference_path)
     assert diagram_path.read_bytes() == reference_path.read_bytes()
     svg = tmp_path / "balls.svg"
     assert cli.main(["render", "--cloud", str(cloud_path), "--r", "0.05",
                      "--theta", "1.4", "--box=0,1;0,1", "--out", str(svg)]) == 0
     assert len(_circles(svg)) == 30
+
+
+def test_cli_manifests_record_every_option_that_changes_the_output(tmp_path):
+    # Two values of each option give two manifests, so a run can be
+    # reproduced from its manifest alone.
+    cloud_path = tmp_path / "cloud.txt"
+    PointCloud(2, np.random.default_rng(103).random((12, 2))).save(cloud_path)
+    zeta = ["--property", "zeta", "--p", "3", "--theta", "1.1"]
+    runs = {
+        "count": (["--cloud", str(cloud_path), "--r", "0.2"] + zeta,
+                  {"--field": ("2", "3")}),
+        "mu": (zeta + ["--samples", "20"],
+               {"--box": ("0,1;0,1", "0,2;0,1"), "--field": ("2", "3")}),
+        "palm": (["--property", "conn", "--r", "0.1", "--n", "10", "--trials", "4"],
+                 {"--d": ("2", "3"), "--box": ("0,1;0,1", "0,2;0,1"),
+                  "--rhs-trials": ("4", "5"), "--field": ("2", "3")}),
+    }
+    for command, (base, options) in runs.items():
+        for option, values in options.items():
+            manifests = []
+            for value in values:
+                out = tmp_path / f"{command}{option}{value.replace(';', '_')}"
+                assert cli.main([command] + base + [option, value,
+                                                    "--out-dir", str(out)]) in (0, 2)
+                manifests.append((out / f"{command}-manifest.json").read_bytes())
+            assert manifests[0] != manifests[1], (command, option)
 
 
 def test_cli_persistence_rejects_a_dense_cloud(tmp_path, capsys):

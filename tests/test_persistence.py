@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -9,13 +10,13 @@ import pytest
 
 from cechlab import filtration
 from cechlab.errors import ConfigurationError
-from cechlab.filtration import build_cech_filtration
+from cechlab.filtration import FilteredComplex, build_cech_filtration
 from cechlab.geometry import PointCloud, _dist2, miniball
 from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, _component_complexes,
                                  betti, compute_persistence, persistent_betti,
                                  persistent_betti_oracle, persistent_bettis)
 from cechlab.sampling import Density, sample_poisson, stream
-from scalar_cech import scalar_build
+from scalar_cech import scalar_build, scalar_persistence
 
 
 def _unit_equilateral() -> PointCloud:
@@ -207,7 +208,7 @@ def test_component_split_matches_whole_cloud_reduction():
         cloud = PointCloud(d, np.vstack([rng.random((n - 8, d)), octagon])[rng.permutation(n)])
         for theta in (1.0, 1.2, 1.4, 2.0):
             for p in (2, 3):
-                whole = compute_persistence(scalar_build(cloud, theta * r, 2), FieldSpec(p))
+                whole = scalar_persistence(scalar_build(cloud, theta * r, 2), FieldSpec(p))
                 for k in (0, 1):
                     assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == \
                         whole.rank(k, r, theta * r)
@@ -251,7 +252,7 @@ def test_forest_components_are_skipped_exactly():
         cloud = PointCloud(d, points[rng.permutation(n)])
         for theta in (1.0, 1.2, 1.4, 2.0):
             for p in (2, 3):
-                whole = compute_persistence(scalar_build(cloud, theta * r, 3), FieldSpec(p))
+                whole = scalar_persistence(scalar_build(cloud, theta * r, 3), FieldSpec(p))
                 for k in (1, 2):
                     assert persistent_betti(cloud, r, theta, k, FieldSpec(p)) == \
                         whole.rank(k, r, theta * r)
@@ -494,6 +495,55 @@ def test_diagram_deterministic():
     assert compute_persistence(complex_).intervals == compute_persistence(complex_).intervals
 
 
+def test_diagrams_match_the_scalar_reduction():
+    # compute_persistence reads its pairs off the batched reducer; the
+    # reference reduces the whole complex column by column with its own loop.
+    rng = np.random.default_rng(89)
+    complexes = [FilteredComplex(vertex_count=0, max_dim=2, simplices=()),
+                 scalar_build(PointCloud.from_points([(0.3, 0.4)]), 0.5, 2)]
+    for _ in range(24):
+        n = int(rng.integers(2, 40))
+        d = int(rng.integers(1, 4))
+        cloud = PointCloud(d, rng.random((n, d)))
+        r_max = float(rng.uniform(0.3, 1.2)) * n ** (-1.0 / d)
+        max_dim = int(rng.integers(1, 4))  # capped at 1 or 2: top-dimension essentials
+        complexes.append(scalar_build(cloud, r_max, max_dim))
+    # Dyadic lattices with holes, at exact ties: equal values and right triangles.
+    square = np.array([(i, j) for i in range(8) for j in range(8)]) * 0.125
+    cube = np.array([(i, j, k) for i in range(4) for j in range(4) for k in range(4)]) * 0.25
+    for lattice in (square, cube):
+        cloud = PointCloud(lattice.shape[1], lattice[rng.random(len(lattice)) < 0.7])
+        spacing = float(lattice[1, -1] - lattice[0, -1])
+        for r_max in (spacing / 2.0, math.sqrt(2.0) * spacing / 2.0, spacing):
+            for max_dim in (1, 2, 3):
+                complexes.append(scalar_build(cloud, r_max, max_dim))
+    top_essential = 0
+    for complex_ in complexes:
+        for p in (2, 3):
+            diagram = compute_persistence(complex_, FieldSpec(p))
+            assert diagram == scalar_persistence(complex_, FieldSpec(p)), complex_.max_dim
+            top_essential += any(dim == complex_.max_dim > 0 and math.isinf(death)
+                                 for dim, _, death in diagram.intervals)
+    assert compute_persistence(complexes[0]).intervals == ()
+    assert compute_persistence(complexes[1]).intervals == ((0, 0.0, math.inf),)
+    assert top_essential > 10, top_essential
+
+
+def test_a_missing_face_is_refused():
+    tetrahedron = scalar_build(PointCloud(3, np.vstack([np.zeros(3), np.eye(3)])), 1.0, 3)
+    assert len(tetrahedron) == 15
+    compute_persistence(tetrahedron)
+    for face in [(1,), (0, 1), (0, 2), (1, 2, 3), (0, 1, 3)]:
+        missing = FilteredComplex(
+            vertex_count=4, max_dim=3,
+            simplices=tuple(sv for sv in tetrahedron.simplices if sv[0] != face))
+        with pytest.raises(ValueError, match="missing"):
+            missing.validate()
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="missing"):
+                compute_persistence(missing, FieldSpec(p))
+
+
 def _long_intervals(diagram: PersistenceDiagram, dim: int, r_max: float, cut: float):
     out = []
     for birth, death in diagram.in_dimension(dim):
@@ -529,8 +579,11 @@ def test_diagram_csv_roundtrip(tmp_path):
     assert any(math.isinf(death) for _, _, death in diagram.intervals)
     path = tmp_path / "diagram.csv"
     diagram.save_csv(path)
-    again = PersistenceDiagram.load_csv(path)
-    assert again.intervals == diagram.intervals
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["dim", "birth", "death"]
+    again = tuple((int(dim), float(birth), float(death)) for dim, birth, death in rows[1:])
+    assert again == diagram.intervals
 
 
 def test_empty_and_single_point_cases():

@@ -22,6 +22,7 @@ from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
                                 zeta)
 from cechlab.sampling import Density, sample_binomial, sample_in_ball, sample_poisson, stream
 from mixed_batches import S, cubic_lattice, mixed_batch
+from scalar_cech import adjacency_above
 
 
 def _square(side: float = 1.0) -> np.ndarray:
@@ -115,13 +116,18 @@ def test_spread_requires_strict_gaps_within_diameter_cap():
     assert spread(1.0, p)(wide) == 0
 
 
+def _isolated_by_labels(labels: np.ndarray, chosen: tuple) -> bool:
+    """Isolation read off component labels: the members' components hold only them."""
+    return int(np.isin(labels, labels[list(chosen)]).sum()) == len(chosen)
+
+
 def test_sep_isolation_is_strict_beyond_two_r():
     r = 0.25
     for gap, isolated in ((2.0 * r, False), (2.0 * r + 1e-9, True)):
         cloud = PointCloud.from_points([(0.0, 0.0), (0.1, 0.0), (0.1 + gap, 0.0)])
-        ctx = sep(r).make(cloud)
-        assert ctx((0, 1)) is isolated
-    assert sep(r).make(PointCloud.from_points([], dim=2))(()) is True
+        labels = sep(r).labels(cloud.points, [3])
+        assert _isolated_by_labels(labels, (0, 1)) is isolated
+    assert _isolated_by_labels(sep(r).labels(np.zeros((0, 2)), [0]), ()) is True
 
 
 def _within_2r(p: list, q: list, r: float) -> bool:
@@ -130,11 +136,11 @@ def _within_2r(p: list, q: list, r: float) -> bool:
     return sum((a - b) * (a - b) for a, b in zip(p, q)) <= reach * reach
 
 
-def _isolated_by_brute_force(pts: list, chosen: tuple, r: float) -> bool:
-    """No outside point within 2r of any member."""
+def _isolated_by_brute_force(pts: list, chosen: tuple, r: float | None) -> bool:
+    """No outside point within 2r of any member; with no r (the trivial context), True."""
     inside = set(chosen)
-    return not any(_within_2r(pts[i], pts[j], r)
-                   for i in chosen for j in range(len(pts)) if j not in inside)
+    return r is None or not any(_within_2r(pts[i], pts[j], r)
+                                for i in chosen for j in range(len(pts)) if j not in inside)
 
 
 def _closure(pts: list, start: int, r: float) -> set:
@@ -189,10 +195,10 @@ def test_sep_matches_brute_force_isolation():
         plain = pts.tolist()
         outcomes = set()
         for r in radii:
-            check = sep(r).make(cloud)
+            labels = sep(r).labels(cloud.points, [len(cloud)])
             for chosen in _sep_cases(plain, r, rng):
                 expected = _isolated_by_brute_force(plain, chosen, r)
-                assert check(chosen) is expected, (len(plain), r, chosen)
+                assert _isolated_by_labels(labels, chosen) is expected, (len(plain), r, chosen)
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
@@ -275,7 +281,7 @@ def test_descriptor_validation_and_call_shape():
     assert g(np.zeros((3, 2))) == 0
     assert g.locality_radius() == pytest.approx(2.0)
     ctx = trivial_context()
-    assert ctx.trivial and ctx.make(PointCloud.from_points([], dim=2))((0, 5)) is True
+    assert ctx.trivial and ctx.labels(np.zeros((3, 2)), [3]).tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +295,10 @@ def _brute_count(g: PropertyDescriptor, cloud: PointCloud) -> int:
 
 
 def _brute_subset_count(h, cloud: PointCloud) -> int:
-    ctx = h.context.make(cloud)
+    pts = cloud.points.tolist()
     return sum(h.base(cloud.points[list(idx)])
                for idx in combinations(range(len(cloud)), h.arity)
-               if ctx(idx))
+               if _isolated_by_brute_force(pts, idx, h.context.scale))
 
 
 def test_counts_match_exhaustive_enumeration():
@@ -524,15 +530,18 @@ def _clique_loop_count(h, cloud: PointCloud) -> int:
     locality radius, grown through common neighbourhoods, then isolation."""
     if h.arity > len(cloud):
         return 0
-    ctx = h.context.make(cloud)
-    graph = geometric_graph(cloud, h.base.locality_radius())
-    above = [set(nbrs) for nbrs in graph.adjacency_above]
+    pts = cloud.points.tolist()
+    scale = h.context.scale
+    near = [{j for j, q in enumerate(pts) if scale is not None and _within_2r(p, q, scale)}
+            for p in pts]  # each point's neighbours within 2r, by brute force
+    above = adjacency_above(geometric_graph(cloud, h.base.locality_radius()))
     total = 0
 
     def grow(prefix: tuple, common: set) -> None:
         nonlocal total
         if len(prefix) == h.arity:
-            total += bool(ctx(prefix) and h.base(cloud.points[list(prefix)]))
+            isolated = set().union(*(near[i] for i in prefix)) <= set(prefix)
+            total += bool(isolated and h.base(cloud.points[list(prefix)]))
             return
         for v in sorted(common):
             grow(prefix + (v,), common & above[v])
@@ -662,8 +671,9 @@ def test_palm_and_diagnostic_batches_are_the_per_trial_loop(monkeypatch):
                 rhs.append(h.base(anchor.points))
             else:
                 ambient = sample_poisson(12.0, f, rng)
-                union = PointCloud(2, np.vstack([anchor.points, ambient.points]))
-                rhs.append(h.evaluate(union, (0, 1)))
+                union = np.vstack([anchor.points, ambient.points])
+                isolated = _isolated_by_brute_force(union.tolist(), (0, 1), h.context.scale)
+                rhs.append(h.base(anchor.points) if isolated else 0)
         assert result.lhs == float(np.array(lhs, dtype=np.float64).mean()), h.name
         assert result.rhs == 12.0 ** 2 / 2 * float(np.array(rhs, dtype=np.float64).mean())
         assert 0 < sum(rhs) < 50
