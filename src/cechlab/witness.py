@@ -9,19 +9,25 @@ circumcenter. The randomized search estimates the minimal number of
 points that can support such a cycle by brute sampling.
 
 The search scores configurations by their best degree-k death/birth
-ratio. For k = 1, triangles have a closed form, vectorised
-(`_triangle_persistence_ratios`) and scalar (`_triangle_ratio`, for the
-local refinement) and bit-equal to each other, and `_batch_ratios`
-scores a batch of 4 to 11 points over GF(2) in one vectorised pass:
-edge and triangle values, their filtration order, and a GF(2) reduction
-of the triangle columns as int64 bitmasks over edge ranks. Its ratios
-are bit-equal to the per-configuration `_config_ratio`, which reads the
-diagram of the configuration's complete complex (`_best_interval`) off
-the package's one reducer (`persistence._diagram`). It still serves the
-local refinement of 4 or more points and the other cases: k >= 2 (more
-than triangle columns), other fields (from 6 points on, a complex can
-hold a triangulated projective plane, whose H_1 depends on the field)
-and more than 11 points (C(11, 2) = 55 edge bits fill an int64).
+ratio. For k = 1, triangles have a vectorised closed form
+(`_triangle_persistence_ratios`), and `_batch_ratios` scores a batch of
+4 to 11 points over GF(2) in one vectorised pass: edge and triangle
+values, their filtration order, and a GF(2) reduction of the triangle
+columns as int64 bitmasks over edge ranks. Its ratios are bit-equal to
+the per-configuration `_config_ratio`, which reads the diagram of the
+configuration's complete complex (`_best_interval`) off the package's
+one reducer (`persistence._diagram`). It serves the other cases: k >= 2
+(more than triangle columns), other fields (from 6 points on, a complex
+can hold a triangulated projective plane, whose H_1 depends on the
+field) and more than 11 points (C(11, 2) = 55 edge bits fill an int64).
+
+Each batch's best configuration is refined by `_nelder_mead`, which runs
+scipy's Nelder-Mead step for step on many starts at once, so witnesses
+do not depend on the installed scipy; scipy's `minimize` is only the
+tests' oracle. The triangle search refines all its batches' starts in one
+lockstep, scored in closed form. Every other case refines each batch's
+start alone: `_config_ratio` scores one configuration at a time, and
+that cost, not the step's bookkeeping, dominates its refinement.
 """
 from __future__ import annotations
 
@@ -34,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _dist2, _format_cloud, _parse_cloud, _rows_dist2,
+from .geometry import (PointCloud, _format_cloud, _parse_cloud, _rows_dist2,
                        _triangle_radii)
 from .filtration import _component_filtrations
 from .persistence import FieldSpec, GF2, _diagram, persistent_betti
@@ -292,9 +298,9 @@ def _triangle_persistence_ratios(configs: np.ndarray) -> np.ndarray:
 
     The cycle of a triangle is born once all edges are present (half the
     longest side) and dies at the miniball radius: the circumradius for
-    acute triangles, half the longest side otherwise (ratio 1).
-    `_triangle_ratio` is its scalar twin, bit-equal: both take the squared
-    sides in `_dist2`'s order and apply the same operations in the same order.
+    acute triangles, half the longest side otherwise (ratio 1). Every
+    operation is elementwise, so a triangle's ratio does not depend on the
+    batch it is scored in.
     """
     a2 = _rows_dist2(configs[:, 0], configs[:, 1])
     b2 = _rows_dist2(configs[:, 0], configs[:, 2])
@@ -310,22 +316,10 @@ def _triangle_persistence_ratios(configs: np.ndarray) -> np.ndarray:
     return np.sqrt(ratio2)
 
 
-def _triangle_ratio(points: np.ndarray) -> float:
-    """`_triangle_persistence_ratios(points[None])[0]` for one (3, d) triangle."""
-    p, q, o = points.tolist()
-    a2, b2, c2 = _dist2(p, q), _dist2(p, o), _dist2(q, o)
-    longest2 = max(a2, b2, c2)
-    s2 = a2 + b2 + c2
-    if not longest2 < s2 - longest2:
-        return 1.0
-    area16 = max(4.0 * (a2 * b2 + b2 * c2 + c2 * a2) - s2 * s2, 1e-300)
-    return math.sqrt(4.0 * (a2 * b2 * c2 / area16) / longest2)
-
-
 def _config_ratio(points: np.ndarray, k: int, field_spec: FieldSpec) -> float:
     """Best death/birth over degree-k intervals; 1.0 when no cycle forms."""
     if k == 1 and points.shape[0] == 3:
-        return _triangle_ratio(points)
+        return float(_triangle_persistence_ratios(points[None])[0])
     interval = _best_interval(points, k, field_spec)
     return 1.0 if interval is None else max(1.0, interval[1] / interval[0])
 
@@ -421,6 +415,95 @@ def _witness_from_config(points: np.ndarray, d: int, k: int, theta: float,
                         R=theta * r, verified_rank=rank)
 
 
+# The second probe of a Nelder-Mead step, a * xbar + b * worst, by
+# 2 * expand + outside: inside contraction (0.5, 0.5), outside contraction
+# (1.5, -0.5), expansion (3, -2).
+_PROBE = np.array([[0.5, 0.5], [1.5, -0.5], [3.0, -2.0], [3.0, -2.0]])
+
+
+def _nelder_mead(objective, starts: np.ndarray, maxfev: int = 400, xatol: float = 1e-4,
+                 fatol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Nelder-Mead (1965) minimisation from every row of `starts` at once.
+
+    Each row's (x, fun) is bit-identical to scipy's `minimize(objective,
+    row, method="Nelder-Mead")` with these options: the same initial
+    simplex, the same unstable `argsort` of the vertex values (twice at the
+    start, then after every step), the same convergence test and the same
+    reflect, expand, contract and shrink arithmetic. No evaluation is made
+    past `maxfev`, so a shrink can stop with a vertex moved but its value
+    stale, as in scipy. The rows run in lockstep: each step evaluates the
+    reflections of all running rows in one `objective` call, then the
+    second probes, then the shrunk vertices. `objective` maps an (m, n)
+    array of points to their m values.
+    """
+    runs, n = starts.shape
+    sim = np.repeat(starts[:, None, :].astype(np.float64), n + 1, axis=1)
+    axis = np.arange(n)
+    sim[:, axis + 1, axis] = np.where(starts != 0, 1.05 * starts, 0.00025)
+    fsim = np.full((runs, n + 1), np.inf)
+    first = min(n + 1, maxfev)
+    fsim[:, :first] = objective(sim[:, :first].reshape(-1, n)).reshape(runs, first)
+    nfev = np.full(runs, first)
+    lane = np.arange(runs)[:, None]
+    for _ in range(2):
+        order = fsim.argsort(axis=1)
+        sim, fsim = sim[lane, order], fsim[lane, order]
+
+    x, fun = np.empty((runs, n)), np.empty(runs)
+    rows = lane[:, 0]  # the runs still going: the rows of sim, fsim and nfev
+    # np.count_nonzero stands for .any() below: on a few rows it costs a third.
+    while True:
+        stop = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+        if np.count_nonzero(stop):
+            stop &= np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+        stop |= nfev >= maxfev
+        if np.count_nonzero(stop):
+            x[rows[stop]], fun[rows[stop]] = sim[stop, 0], fsim[stop].min(axis=1)
+            go = ~stop
+            if not np.count_nonzero(go):
+                return x, fun
+            rows, sim, fsim, nfev = rows[go], sim[go], fsim[go], nfev[go]
+            lane = lane[:len(rows)]
+        worst, fworst = sim[:, -1], fsim[:, -1]
+        xbar = np.add.reduce(sim[:, :-1], axis=1) / n
+        xr = 2 * xbar - worst
+        fxr = objective(xr)
+        nfev += 1
+        # Below the best: expand. Below the second worst: keep the reflection.
+        # Otherwise contract, outside the simplex if below the worst. A second
+        # probe past the budget is not evaluated, and its row stays as it was.
+        expand = fxr < fsim[:, 0]
+        reflect = (fxr < fsim[:, -2]) > expand
+        probe = (nfev < maxfev) > reflect
+        if np.count_nonzero(probe):
+            outside = fxr < fworst
+            coef = _PROBE.take(2 * expand + outside, axis=0)
+            x2 = coef[:, :1] * xbar + coef[:, 1:] * worst
+            f2 = np.full(len(rows), np.nan)  # no probe: every test below fails
+            f2[probe] = objective(x2[probe])
+            nfev += probe
+            # The probe replaces the worst vertex, else an expanding row keeps
+            # the reflection and a contracting row shrinks towards the best.
+            keep = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fworst))
+            reflect |= (expand & probe) > keep
+            shrink = (probe > expand) > keep
+            np.copyto(worst, x2, where=keep[:, None])
+            np.copyto(fworst, f2, where=keep)
+            if np.count_nonzero(shrink):
+                s, f = sim[shrink], fsim[shrink]
+                left = (maxfev - nfev[shrink])[:, None]
+                moved = s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1])
+                s[:, 1:] = np.where((axis <= left)[:, :, None], moved, s[:, 1:])
+                evaluated = axis < left
+                f[:, 1:][evaluated] = objective(moved[evaluated])
+                sim[shrink], fsim[shrink] = s, f
+                nfev[shrink] += evaluated.sum(axis=1)
+        np.copyto(worst, xr, where=reflect[:, None])
+        np.copyto(fworst, fxr, where=reflect)
+        order = fsim.argsort(axis=1)
+        sim, fsim = sim[lane, order], fsim[lane, order]
+
+
 def search_m(d: int, k: int, theta: float, p: int, trials: int,
              rng: np.random.Generator, refine: bool = True,
              field_spec: FieldSpec = GF2) -> CycleWitness | None:
@@ -436,15 +519,26 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
     returned. Finding no witness suggests (but never proves) that p is
     below the minimal cycle arity.
 
-    For k = 1, triangles are scored in closed form (one at a time in the
-    refinement), and batches of 4 to 11 points over GF(2) in one vectorised
-    diagram pass (`_batch_ratios`), bit-equal to scoring each configuration
-    alone. The refinement of 4 or more points and every other case score
-    one configuration at a time (`_config_ratio`), by the diagram of its
-    complete complex from the package's one reducer: for k >= 2 the
-    complex has more than triangle columns, over other fields a 6-point
-    projective plane has another H_1, and above 11 points the edges do not
-    fit an int64 bitmask.
+    For k = 1, triangles are scored in closed form, vectorised, and
+    batches of 4 to 11 points over GF(2) in one vectorised diagram pass
+    (`_batch_ratios`), bit-equal to scoring each configuration alone.
+    Every other case scores one configuration at a time (`_config_ratio`),
+    by the diagram of its complete complex from the package's one
+    reducer: for k >= 2 the complex has more than triangle columns, over
+    other fields a 6-point projective plane has another H_1, and above 11
+    points the edges do not fit an int64 bitmask.
+
+    The local search is `_nelder_mead`, scipy's Nelder-Mead step for step.
+    The triangle search refines all its batches together: it keeps each
+    batch's start, with the generator's state after that batch's draw, and
+    refines the kept starts in one lockstep at the end, or before a later
+    batch's sampled candidates are verified. A witness among them puts the
+    generator back to its batch's state, so the witness, the None and the
+    generator's state are those of refining each batch as it comes. Every
+    other case refines each batch's start as it comes: its refinement
+    spends its time in `_config_ratio`, one configuration at a time, and
+    `_batch_ratios` costs more per call than a few configurations alone,
+    so a lockstep of several starts would save nothing.
     """
     if d < 1 or k < 1 or p < 1:
         raise ValueError(f"invalid search parameters d={d}, k={k}, p={p}")
@@ -452,14 +546,33 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
         raise ValueError(f"persistence factor must satisfy theta >= 1, got {theta}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    from scipy.optimize import minimize
+    triangles = k == 1 and p == 3
+    if triangles:
+        def objective(xs: np.ndarray) -> np.ndarray:
+            return -_triangle_persistence_ratios(xs.reshape(-1, p, d))
+    else:
+        def objective(xs: np.ndarray) -> np.ndarray:
+            return np.array([-_config_ratio(x.reshape(p, d), k, field_spec) for x in xs])
+    # Batch starts not yet refined, with the generator's state after their batch.
+    pending: list[tuple[np.ndarray, dict]] = []
+
+    def refine_pending() -> CycleWitness | None:
+        starts, states = zip(*pending)
+        pending.clear()
+        x, fun = _nelder_mead(objective, np.stack(starts))
+        for i in np.flatnonzero(-fun > theta):
+            witness = _witness_from_config(x[i].reshape(p, d), d, k, theta, field_spec)
+            if witness is not None:
+                rng.bit_generator.state = states[i]
+                return witness
+        return None
 
     batch = 4096
     done = 0
     while done < trials:
         count = min(batch, trials - done)
         configs = rng.random((count, p, d))
-        if k == 1 and p == 3:
+        if triangles:
             # Vectorized: the triangle diagram is analytic.
             ratios = _triangle_persistence_ratios(configs)
         elif k == 1 and field_spec.characteristic == 2 and 4 <= p <= _BATCH_MAX_POINTS:
@@ -468,22 +581,26 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
         else:
             ratios = np.fromiter((_config_ratio(configs[i], k, field_spec)
                                   for i in range(count)), dtype=np.float64, count=count)
-        for i in np.flatnonzero(ratios > theta):
+        hits = np.flatnonzero(ratios > theta)
+        # Earlier batches' refinements come before this batch's candidates.
+        if hits.size and pending:
+            witness = refine_pending()
+            if witness is not None:
+                return witness
+        for i in hits:
             witness = _witness_from_config(configs[i], d, k, theta, field_spec)
             if witness is not None:
                 return witness
         if refine:
-            start = configs[int(ratios.argmax())].reshape(-1)
-            result = minimize(lambda x: -_config_ratio(x.reshape(p, d), k, field_spec),
-                              start, method="Nelder-Mead",
-                              options={"maxfev": 400, "xatol": 1e-4, "fatol": 1e-6})
-            if -result.fun > theta:
-                witness = _witness_from_config(result.x.reshape(p, d), d, k, theta,
-                                               field_spec)
+            # A copy: a view would keep the whole batch alive while it waits.
+            start = configs[int(ratios.argmax())].reshape(-1).copy()
+            pending.append((start, rng.bit_generator.state))
+            if not triangles:
+                witness = refine_pending()
                 if witness is not None:
                     return witness
         done += count
-    return None
+    return refine_pending() if pending else None
 
 
 def bracket_m(d: int, k: int, theta: float, trials_per_arity: int,

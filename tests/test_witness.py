@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cechlab
 from cechlab.errors import ConfigurationError
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
@@ -16,7 +21,7 @@ from cechlab.persistence import GF2, compute_persistence, persistent_betti
 from cechlab.sampling import stream
 from cechlab.witness import (CycleWitness, MBracket, _batch_ratios,
                              _config_ratio, _highest_bit,
-                             _triangle_persistence_ratios, _triangle_ratio,
+                             _nelder_mead, _triangle_persistence_ratios,
                              _witness_from_config, bracket_m,
                              construct_witness, perturb_and_verify,
                              perturbation_radius, search_m,
@@ -186,29 +191,24 @@ def test_refinement_finds_the_four_point_witness():
     assert search_m(2, 1, 1.4, 4, 4096, stream(7), refine=False) is None
 
 
-def _scalar_search(d: int, k: int, theta: float, p: int, trials: int,
-                   rng: np.random.Generator, score=None) -> CycleWitness | None:
-    """`search_m`'s batch loop with every configuration scored alone, by
-    `_config_ratio` unless another `score(points)` is given."""
+def _scalar_search(d: int, k: int, theta: float, p: int,
+                   trials: int, rng: np.random.Generator) -> CycleWitness | None:
+    """`search_m`'s batch loop with every configuration scored alone by
+    `_config_ratio`, and each batch's start refined by scipy as it comes."""
     from scipy.optimize import minimize
-
-    if score is None:
-        def score(points: np.ndarray) -> float:
-            return _config_ratio(points, k, GF2)
 
     done = 0
     while done < trials:
         count = min(4096, trials - done)
         configs = rng.random((count, p, d))
-        ratios = np.array([score(config) for config in configs])
+        ratios = np.array([_config_ratio(config, k, GF2) for config in configs])
         for i in np.flatnonzero(ratios > theta):
             witness = _witness_from_config(configs[i], d, k, theta, GF2)
             if witness is not None:
                 return witness
         start = configs[int(ratios.argmax())].reshape(-1)
-        result = minimize(lambda x: -score(x.reshape(p, d)),
-                          start, method="Nelder-Mead",
-                          options={"maxfev": 400, "xatol": 1e-4, "fatol": 1e-6})
+        result = minimize(lambda x: -_config_ratio(x.reshape(p, d), k, GF2),
+                          start, method="Nelder-Mead", options=_NELDER_MEAD)
         if -result.fun > theta:
             witness = _witness_from_config(result.x.reshape(p, d), d, k, theta, GF2)
             if witness is not None:
@@ -217,18 +217,138 @@ def _scalar_search(d: int, k: int, theta: float, p: int, trials: int,
     return None
 
 
+_NELDER_MEAD = {"maxfev": 400, "xatol": 1e-4, "fatol": 1e-6}
+# Largest death/birth of a triangle: the equilateral one's.
+_TRIANGLE_TOP = 2.0 / math.sqrt(3.0)
+# The triangle cases below by path: the batches drawn when the search stops.
+_TRIANGLE_STOPS = {(2, 3): 4, (3, 3): 2, (5, 3): 6, (1, 3): 1}
+
+
 @pytest.mark.parametrize("d, theta, p, trials, path", [
     (2, 1.2, 4, 65_536, (0, 4, 0)),  # the benchmark's 4-point search: first batch
     (2, 1.4, 4, 8192, (7,)),  # found only by the refinement
     (2, 1.3, 5, 8192, (5, 5)),
+    # Triangles: the search refines its batches' starts together.
+    (2, 1.2, 3, 3 * 4096 + 100, (2, 3)),  # empty
+    (2, _TRIANGLE_TOP - 6e-7, 3, 6 * 4096, (3, 3)),  # the second batch's refinement
+    (2, _TRIANGLE_TOP - 7e-7, 3, 6 * 4096, (5, 3)),  # the sixth batch's refinement
+    # The second batch holds sampled candidates, so the first batch's start is
+    # refined before they are verified, and its witness comes first.
+    (2, _TRIANGLE_TOP - 5e-3, 3, 4 * 4096, (1, 3)),
 ])
 def test_batched_search_returns_the_scalar_witness(d, theta, p, trials, path):
-    batched = search_m(d, 1, theta, p, trials, stream(*path))
-    scalar = _scalar_search(d, 1, theta, p, trials, stream(*path))
+    rng, replay_rng = stream(*path), stream(*path)
+    batched = search_m(d, 1, theta, p, trials, rng)
+    scalar = _scalar_search(d, 1, theta, p, trials, replay_rng)
+    after = rng.random(8).tobytes()
+    assert after == replay_rng.random(8).tobytes()
+    if p == 3:
+        # The generator stands after the draw of the batch the search stopped at.
+        position, left = stream(*path), trials
+        for _ in range(_TRIANGLE_STOPS[path]):
+            position.random((min(4096, left), p, d))
+            left -= 4096
+        assert after == position.random(8).tobytes()
+    if path == (2, 3):
+        assert batched is None and scalar is None
+        return
     assert batched is not None and scalar is not None
     assert batched.points.points.tobytes() == scalar.points.points.tobytes()
     assert (batched.r, batched.R, batched.verified_rank) == (scalar.r, scalar.R,
                                                              scalar.verified_rank)
+
+
+def _assert_nelder_mead_is_scipys(objective, starts: np.ndarray) -> tuple[list, list]:
+    """`_nelder_mead` on all starts at once, and on each alone, against scipy
+    on each: the same x bits, the same value and as many evaluations.
+    Returns scipy's results and, per start, the evaluations of each step."""
+    from scipy.optimize import minimize
+
+    x, fun = _nelder_mead(objective, starts)
+    results, steps = [], []
+    for row, value, start in zip(x, fun, starts):
+        evaluated, calls, marks = [0], [0], [0]
+
+        def counted(xs: np.ndarray) -> np.ndarray:
+            evaluated[0] += len(xs)
+            return objective(xs)
+
+        def scalar(point: np.ndarray) -> float:
+            calls[0] += 1
+            return float(objective(point[None])[0])
+
+        alone_x, alone_fun = _nelder_mead(counted, start[None])
+        result = minimize(scalar, start, method="Nelder-Mead", options=_NELDER_MEAD,
+                          callback=lambda intermediate_result: marks.append(calls[0]))
+        assert row.tobytes() == alone_x[0].tobytes() == result.x.tobytes()
+        assert value == alone_fun[0] == result.fun
+        assert evaluated[0] == result.nfev
+        results.append(result)
+        steps.append(np.diff(marks))
+    return results, steps
+
+
+def _triangle_objective(xs: np.ndarray) -> np.ndarray:
+    return -_triangle_persistence_ratios(xs.reshape(len(xs), 3, -1))
+
+
+def test_nelder_mead_ties_and_zeros_follow_scipy():
+    rng = np.random.default_rng(83)
+    # Obtuse triangles score exactly -1.0 at every vertex: argsort breaks the ties.
+    obtuse = np.array([(0.0, 0.0), (1.0, 0.0), (0.2, 0.1)])
+    starts = (obtuse + 0.01 * rng.random((6, 3, 2))).reshape(6, -1)
+    results, _ = _assert_nelder_mead_is_scipys(_triangle_objective, starts)
+    assert all(result.fun == -1.0 and result.nfev < 400 for result in results)
+    # Exact zero coordinates step to 0.00025 instead of by 5%.
+    zeros = np.array([[0.0, 0.0, 1.0, 0.0, 0.2, 0.1], [0.0, 0.0, 1.0, 0.0, 0.5, 0.8],
+                      [0.0, 0.3, 0.0, 0.0, 0.9, 0.0], np.zeros(6)])
+    _assert_nelder_mead_is_scipys(_triangle_objective, zeros)
+    # Batch-argmax and uniform starts.
+    configs = rng.random((8, 4096, 3, 2))
+    best = _triangle_persistence_ratios(configs.reshape(-1, 3, 2)).reshape(8, 4096).argmax(axis=1)
+    starts = np.concatenate([configs[np.arange(8), best].reshape(8, -1), rng.random((24, 6))])
+    _assert_nelder_mead_is_scipys(_triangle_objective, starts)
+
+
+def test_nelder_mead_stops_mid_shrink_as_scipy():
+    # Obtuse triangles near 1e9: every probe ties at -1.0, so every step is a
+    # shrink, and 5% steps of such coordinates take more than 400 evaluations
+    # to shrink below xatol. At d = 3 a step costs 2 + 9 evaluations, and the
+    # budget runs out inside a shrink, leaving a vertex moved with a stale value.
+    rng = np.random.default_rng(89)
+    obtuse = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.2, 0.1, 0.0)])
+    starts = ((obtuse + 0.01 * rng.random((3, 3, 3))) * np.array([1e9, 3e9, 1e10])[:, None, None])
+    results, steps = _assert_nelder_mead_is_scipys(_triangle_objective, starts.reshape(3, -1))
+    for result, step in zip(results, steps):
+        assert result.nfev == 400 and 2 < step[-1] < 11
+
+
+def test_nelder_mead_on_config_ratio_follows_scipy():
+    rng = stream(97)
+    configs = rng.random((2, 4096, 4, 2))
+    best = _batch_ratios(configs.reshape(-1, 4, 2)).reshape(2, 4096).argmax(axis=1)
+    starts = np.concatenate([configs[np.arange(2), best].reshape(2, -1), rng.random((2, 8))])
+
+    def objective(xs: np.ndarray) -> np.ndarray:
+        return np.array([-_config_ratio(x.reshape(4, 2), 1, GF2) for x in xs])
+
+    results, _ = _assert_nelder_mead_is_scipys(objective, starts)
+    assert any(result.nfev == 400 for result in results)
+
+
+def test_searching_leaves_scipy_optimize_unimported():
+    # scipy's minimize is only the tests' oracle: a search neither pays its
+    # import nor keeps it loaded.
+    code = ("import sys, cechlab\n"
+            "from cechlab.sampling import stream\n"
+            "cechlab.search_m(2, 1, 1.2, 3, 5000, stream(0))\n"
+            "cechlab.bracket_m(2, 1, 1.4, 200, stream(1), max_arity=4)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = str(Path(cechlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert run.stdout.split() == ["False"]
 
 
 def test_highest_bit_survives_rounding_past_a_power_of_two():
@@ -329,21 +449,24 @@ def test_triangle_ratio_shortcut_matches_reduction():
 
 
 def _assert_triangle_ratio_exact(configs: np.ndarray) -> None:
+    """Each triangle scored alone (`_config_ratio`, a batch of one) gets the
+    bits it gets in the whole batch: the lockstep refinement relies on it."""
     vectorised = _triangle_persistence_ratios(configs)
-    scalar = np.array([_triangle_ratio(config) for config in configs])
-    mismatch = np.flatnonzero(scalar != vectorised)
-    assert len(mismatch) == 0, (configs[mismatch[0]].tolist(), scalar[mismatch[0]],
+    alone = np.array([_config_ratio(config, 1, GF2) for config in configs])
+    mismatch = np.flatnonzero(alone != vectorised)
+    assert len(mismatch) == 0, (configs[mismatch[0]].tolist(), alone[mismatch[0]],
                                 vectorised[mismatch[0]])
 
 
 def test_triangle_ratio_bit_equal_to_vectorised_form():
     rng = np.random.default_rng(67)
     for d in range(2, 8):
-        _assert_triangle_ratio_exact(rng.random((100_000, 3, d)))
+        _assert_triangle_ratio_exact(rng.random((4000, 3, d)))
     equilateral = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
     right = np.array([(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)])
-    assert _triangle_ratio(equilateral) == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
-    assert _triangle_ratio(right) == 1.0
+    assert _triangle_persistence_ratios(equilateral[None])[0] == pytest.approx(
+        2.0 / math.sqrt(3.0), abs=1e-12)
+    assert _triangle_persistence_ratios(right[None])[0] == 1.0
     # Rotated and scaled equilateral and right triangles.
     turn = rng.uniform(0.0, 2.0 * math.pi, 2000)
     rotation = np.stack([np.cos(turn), -np.sin(turn), np.sin(turn), np.cos(turn)],
@@ -370,11 +493,9 @@ def test_triangle_ratio_bit_equal_to_vectorised_form():
 
 
 def test_three_point_search_returns_the_vectorised_witness():
-    # Criterion 7's 3-point search, with the refinement scoring each triangle
-    # through the vectorised form as a batch of one.
+    # Criterion 7's 3-point search.
     witness = search_m(2, 1, 1.0, 3, 10_000, stream(7))
-    replay = _scalar_search(2, 1, 1.0, 3, 10_000, stream(7),
-                            lambda points: float(_triangle_persistence_ratios(points[None])[0]))
+    replay = _scalar_search(2, 1, 1.0, 3, 10_000, stream(7))
     assert witness is not None and replay is not None
     assert witness.points.points.tobytes() == replay.points.points.tobytes()
     assert (witness.r, witness.R, witness.verified_rank) == (replay.r, replay.R,
