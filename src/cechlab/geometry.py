@@ -43,11 +43,7 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable finite point set in R^d.
-
-    Duplicate points are permitted; `has_duplicates` flags them so callers
-    that assume distinctness can check cheaply.
-    """
+    """Immutable finite point set in R^d. Duplicate points are permitted."""
 
     dim: int
     points: np.ndarray  # shape (n, dim), float64
@@ -77,12 +73,6 @@ class PointCloud:
         return self.points.shape[0]
 
     @cached_property
-    def has_duplicates(self) -> bool:
-        if len(self) < 2:
-            return False
-        return len({tuple(p) for p in self.points}) < len(self)
-
-    @cached_property
     def as_tuples(self) -> tuple[tuple[float, ...], ...]:
         # Plain-float view; the pairwise loops below are faster off numpy.
         return tuple(map(tuple, self.points.tolist()))
@@ -94,12 +84,6 @@ class PointCloud:
         for i in range(len(pts) - 1):
             best = max(best, float(_rows_dist2(pts[i:i + 1], pts[i + 1:]).max()))
         return math.sqrt(best)
-
-    def translated(self, offset: Sequence[float]) -> "PointCloud":
-        return PointCloud(self.dim, self.points + np.asarray(offset, dtype=np.float64))
-
-    def scaled(self, factor: float) -> "PointCloud":
-        return PointCloud(self.dim, self.points * float(factor))
 
     def save(self, path: str | Path) -> None:
         """Write the text format: header `d n`, then one point per line."""

@@ -43,7 +43,8 @@ from .errors import ConfigurationError
 from .geometry import (PointCloud, _format_cloud, _parse_cloud, _rows_dist2,
                        _triangle_radii)
 from .filtration import _component_filtrations
-from .persistence import FieldSpec, GF2, _diagram, persistent_betti
+from .persistence import FieldSpec, GF2, _diagram, persistent_betti, persistent_bettis
+from .properties import _drawn
 from .sampling import sample_in_ball
 
 __all__ = [
@@ -240,7 +241,9 @@ def perturb_and_verify(witness: CycleWitness, rng: np.random.Generator, trials: 
 
     Each point moves by an independent uniform draw from the open ball
     of radius delta (times delta_scale, for negative controls); the
-    perturbed cloud is tested at radius r + delta with the same theta.
+    perturbed cloud is tested at radius r + delta with the same theta. The
+    copies are drawn one trial after another and ranked in batches of at
+    most `_BATCH_POINTS` points, one `persistent_bettis` call per batch.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -249,14 +252,12 @@ def perturb_and_verify(witness: CycleWitness, rng: np.random.Generator, trials: 
         return 1.0
     delta = perturbation_radius(witness.R, witness.r, witness.theta)
     move = delta * delta_scale
-    n, d = witness.points.points.shape
+    points = witness.points.points
+    n, d = points.shape
     successes = 0
-    for _ in range(trials):
-        offsets = sample_in_ball(n, d, move, rng)
-        shifted = PointCloud(d, witness.points.points + offsets)
-        if persistent_betti(shifted, witness.r + delta, witness.theta, witness.k,
-                            field_spec) >= 1:
-            successes += 1
+    for batch in _drawn(lambda: PointCloud(d, points + sample_in_ball(n, d, move, rng)), trials):
+        ranks = persistent_bettis(batch, witness.r + delta, witness.theta, witness.k, field_spec)
+        successes += int((ranks >= 1).sum())
     return successes / trials
 
 

@@ -1,9 +1,14 @@
-"""The package's public names: one list, no duplicates, every module's names exported."""
+"""The package's public names: one list, no duplicates, every module's names exported.
+
+And each module imports only names it uses.
+"""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import cechlab
 
@@ -31,3 +36,23 @@ def test_every_module_name_is_exported_by_the_package():
             assert name in exported, (info.name, name)
             assert getattr(cechlab, name) is getattr(module, name), (info.name, name)
     assert modules >= 6, modules
+
+
+def test_modules_import_only_what_they_use():
+    sources = sorted(Path(cechlab.__file__).parent.glob("*.py"))
+    checked = 0
+    for source in sources:
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(), filename=str(source))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        # A name used as `name` or as `name.attribute` is a Name node either way.
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (source.name, sorted(imported - used))
+        checked += 1
+    assert checked >= 9, checked

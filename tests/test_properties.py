@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -13,10 +14,9 @@ from cechlab.errors import ConfigurationError
 from cechlab.geometry import PointCloud, _close_pairs, ball_volume, geometric_graph
 from cechlab.persistence import persistent_betti, persistent_bettis
 from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
-                                _graphs_isomorphic, _three_sigma_overlap, _unions,
+                                _three_sigma_overlap, _unions,
                                 comp, component_count, conn,
-                                convergence_diagnostic, count_property,
-                                diagnostic_rows_to_csv, estimate_mu,
+                                convergence_diagnostic, count_property, estimate_mu,
                                 iso_graph, palm_check, sep, spread,
                                 subset_count, subset_counts, trivial_context, upsilon,
                                 zeta)
@@ -41,8 +41,6 @@ def _chain(n: int, gap: float = 1.0) -> np.ndarray:
 def test_small_graph_constructors_and_validation():
     assert SmallGraph.complete(4).edges == SmallGraph.from_edges(
         4, [(1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2)]).edges
-    assert SmallGraph.path(3).degree_sequence() == (1, 1, 2)
-    assert SmallGraph.cycle(5).degree_sequence() == (2, 2, 2, 2, 2)
     assert SmallGraph.path(4).is_connected()
     assert not SmallGraph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
     with pytest.raises(ValueError):
@@ -53,12 +51,92 @@ def test_small_graph_constructors_and_validation():
         SmallGraph.cycle(2)
 
 
+@lru_cache(maxsize=None)
+def _images(gamma: SmallGraph) -> frozenset:
+    """Every edge set onto which some vertex permutation maps gamma's edges."""
+    pair = [[(min(a, b), max(a, b)) for b in range(gamma.n)] for a in range(gamma.n)]
+    return frozenset(frozenset(pair[perm[i]][perm[j]] for i, j in gamma.edges)
+                     for perm in permutations(range(gamma.n)))
+
+
+def _brute_isomorphic(gamma: SmallGraph, edges) -> bool:
+    """Brute force: gamma is isomorphic to an edge set on its vertices when some
+    permutation maps gamma's edges onto it."""
+    return frozenset(edges) in _images(gamma)
+
+
+def _realized(n: int, patterns: list) -> np.ndarray:
+    """Configurations (m, n, n) whose geometric graph at scale sqrt(2n - 1) is each pattern.
+
+    The Gram matrix n*I + A of a pattern's adjacency A is positive definite
+    (A's eigenvalues are at least -(n - 1)); its Cholesky rows are points
+    at squared distance 2n - 2 on the pattern's pairs and 2n off them.
+    """
+    gram = np.tile(np.eye(n) * n, (len(patterns), 1, 1))
+    for g, edges in zip(gram, patterns):
+        for i, j in edges:
+            g[i, j] = g[j, i] = 1.0
+    stack = np.linalg.cholesky(gram)
+    gaps = ((stack[:, :, None] - stack[:, None]) ** 2).sum(axis=3)
+    assert np.array_equal(gaps < 2 * n - 1, (gram == 1.0) | np.eye(n, dtype=bool))
+    return stack
+
+
+def _orbit_agrees_with_brute_force(gamma: SmallGraph, patterns: list,
+                                   stack: np.ndarray | None = None) -> None:
+    """iso_graph on configurations realizing the patterns (`stack`, when given) gives
+    the brute-force answers."""
+    n = gamma.n
+    stack = _realized(n, patterns) if stack is None else stack
+    held = iso_graph(gamma, math.sqrt(2 * n - 1), n).holds(stack)
+    assert held.tolist() == [_brute_isomorphic(gamma, edges) for edges in patterns]
+
+
 def test_isomorphism_distinguishes_same_degree_sequence():
     two_triangles = frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)})
     hexagon = frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)})
-    assert _graphs_isomorphic(SmallGraph.cycle(6), hexagon, 6)
-    assert not _graphs_isomorphic(SmallGraph.cycle(6), two_triangles, 6)
-    assert not _graphs_isomorphic(SmallGraph.path(4), SmallGraph.cycle(4).edges, 4)
+    for gamma, edges, expected in ((SmallGraph.cycle(6), hexagon, True),
+                                   (SmallGraph.cycle(6), two_triangles, False),
+                                   (SmallGraph.path(4), SmallGraph.cycle(4).edges, False)):
+        assert _brute_isomorphic(gamma, edges) is expected
+        _orbit_agrees_with_brute_force(gamma, [edges])
+
+
+def test_orbit_lookup_matches_brute_force_on_every_small_template():
+    # Every connected template on 1..5 vertices against every pattern of its
+    # C(n, 2) pairs (for n = 1, the one empty pattern).
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        patterns = [frozenset(pair for b, pair in enumerate(pairs) if code >> b & 1)
+                    for code in range(1 << len(pairs))]
+        templates = [gamma for gamma in (SmallGraph(n, edges) for edges in patterns)
+                     if gamma.is_connected()]
+        assert len(templates) == (1, 1, 4, 38, 728)[n - 1]  # connected labelled graphs
+        stack = _realized(n, patterns)
+        for gamma in templates:
+            _orbit_agrees_with_brute_force(gamma, patterns, stack)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_orbit_lookup_matches_brute_force_up_to_the_vertex_cap(n):
+    rng = np.random.default_rng(200 + n)
+    pairs = list(combinations(range(n), 2))
+    templates = [SmallGraph.cycle(n), SmallGraph.path(n), SmallGraph.complete(n)]
+    while len(templates) < 6:  # random connected templates: a random tree plus extra pairs
+        tree = [(int(rng.integers(i)), i) for i in range(1, n)]
+        extra = [pair for pair in pairs if rng.random() < 0.3]
+        templates.append(SmallGraph.from_edges(n, tree + extra))
+    for gamma in templates:
+        patterns = [frozenset(pair for pair in pairs if rng.random() < density)
+                    for density in rng.random(150)]
+        patterns += [frozenset(pairs[b] for b in rng.choice(len(pairs), len(gamma.edges),
+                                                            replace=False))
+                     for _ in range(100)]  # as many pairs as gamma
+        for perm in (rng.permutation(n) for _ in range(50)):
+            patterns.append(frozenset((min(perm[i], perm[j]), max(perm[i], perm[j]))
+                                      for i, j in gamma.edges))
+        assert any(_brute_isomorphic(gamma, edges) for edges in patterns)
+        _orbit_agrees_with_brute_force(gamma, patterns)
 
 
 def test_iso_graph_on_embedded_configurations():
@@ -388,7 +466,7 @@ def test_stacked_pair_tests_match_the_per_configuration_loop():
             edges = [_scalar_edges(pts, cutoff) for pts in configs]
             for gamma in templates:
                 assert iso_graph(gamma, cutoff, p).holds(stack).tolist() == \
-                    [_graphs_isomorphic(gamma, e, p) for e in edges]
+                    [_brute_isomorphic(gamma, e) for e in edges]
             assert conn(cutoff / 2.0, p).holds(stack).tolist() == \
                 [_scalar_connected(p, e) for e in edges]
             wide = [_scalar_edges(pts, cutoff * p) for pts in configs]
@@ -824,9 +902,6 @@ def test_convergence_diagnostic_structure_and_guards():
         denom = n * (row.r ** 2 * n)
         assert row.ratio == pytest.approx(row.count_mean / denom)
         assert row.ratio_se == pytest.approx(row.count_se / denom)
-    csv = diagnostic_rows_to_csv(rows)
-    assert csv.splitlines()[0] == "n,r,count_mean,count_se,ratio,ratio_se"
-    assert len(csv.splitlines()) == 3
     with pytest.raises(ConfigurationError):
         convergence_diagnostic(family, f, 0.4, -0.4, [50.0], 10, stream(1))
     with pytest.raises(ConfigurationError):
