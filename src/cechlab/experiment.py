@@ -9,9 +9,12 @@ stream (seed, i, t). `run_experiment` and `lower_bound_audit` split each
 batch of trials over the cores this process may run on, one forked
 process per extra core, and gather the values in trial order, so every
 output is bit-identical to a serial run. Each core's chunk runs as
-consecutive batches of trials whose clouds are ranked (and, in the
-audit, counted) by one call per batch: `persistent_bettis` and
-`subset_counts`.
+consecutive batches of trials. A batch is drawn as one stack of points
+(`sampling._sample_stack`, the draws of `sample_poisson` on each trial's
+stream) and ranked (and, in the audit, counted) by one pass each: the
+stacked forms of `persistent_bettis` and `subset_counts`. The audit
+makes one neighbour query per batch, at the largest cutoff either pass
+needs, and hands its candidates to both.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import numpy as np
 import scipy
 
 from .errors import AuditError, ConfigurationError
-from .geometry import _BATCH_POINTS
-from .persistence import GF2, FieldSpec, persistent_bettis
-from .properties import subset_counts, upsilon
-from .sampling import Density, sample_poisson, stream
+from .geometry import _BATCH_POINTS, PointCloud, _near_pairs
+from .persistence import GF2, FieldSpec, _persistent_bettis
+from .properties import _reach, _subset_counts, upsilon
+from .sampling import Density, _sample_stack, stream
 
 T = TypeVar("T")
 
@@ -275,8 +278,9 @@ def _collect_row(spec: ExperimentSpec, n_index: int) -> ResultRow:
     cap = spec.max_trials if spec.max_trials is not None else spec.trials
 
     def trials(batch: range) -> list[int]:
-        clouds = [sample_poisson(n, spec.density, stream(spec.seed, n_index, t)) for t in batch]
-        return persistent_bettis(clouds, r, spec.theta, spec.k, spec.field).tolist()
+        points, sizes = _sample_stack(n, spec.density,
+                                      (stream(spec.seed, n_index, t) for t in batch))
+        return _persistent_bettis(points, sizes, r, spec.theta, spec.k, spec.field).tolist()
 
     values: list[int] = []
     while True:
@@ -381,9 +385,12 @@ def lower_bound_audit(spec: ExperimentSpec, m: int,
     number of the whole cloud; a violating cloud is saved to `dump_dir`
     for repro before the audit aborts. The trials of each grid point are
     split over the usable cores by `_map_trials`; a batch of them is
-    sampled, counted by `subset_counts` and ranked by `persistent_bettis`,
-    then checked in trial order. The audit stops at the first violation or
-    error in trial order, as a serial loop would.
+    sampled as one stack, its pairs are found by one neighbour query at the
+    largest cutoff either side needs, and it is counted as `subset_counts`
+    and ranked as `persistent_bettis` would, each side keeping the pairs
+    that pass its own test; then it is checked in trial order. The audit
+    stops at the first violation or error in trial order, as a serial loop
+    would.
     """
     if spec.k < 1:
         raise ConfigurationError(f"audit needs homology degree k >= 1, got {spec.k}")
@@ -395,19 +402,24 @@ def lower_bound_audit(spec: ExperimentSpec, m: int,
     for i, n in enumerate(spec.n_grid):
         r = spec.radius(n)
         h = upsilon(r, m, spec.theta, spec.k, spec.field)
+        reach = max(_reach(h), 2.0 * spec.theta * r)  # the isolation test's, and the edges'
 
         def trials(batch: range) -> list[AuditRow]:
-            clouds = [sample_poisson(n, spec.density, stream(spec.seed, i, t)) for t in batch]
-            counts = subset_counts(h, clouds).tolist()
-            ranks = persistent_bettis(clouds, r, spec.theta, spec.k, spec.field).tolist()
+            points, sizes = _sample_stack(n, spec.density,
+                                          (stream(spec.seed, i, t) for t in batch))
+            near = _near_pairs(points, sizes, reach)
+            counts = _subset_counts(h, points, sizes, near).tolist()
+            ranks = _persistent_bettis(points, sizes, r, spec.theta, spec.k, spec.field,
+                                       near).tolist()
+            starts = np.cumsum(sizes) - sizes
             out = []
-            for t, cloud, count, rank in zip(batch, clouds, counts, ranks):
+            for t, start, size, count, rank in zip(batch, starts.tolist(), sizes, counts, ranks):
                 if count > rank:
                     path = Path(dump_dir) / f"audit-violation-n{n:g}-trial{t}.txt"
                     # A child's violating trial is run again by the caller, which
                     # saves it; a child saving could leave clouds of later trials.
                     if os.getpid() == caller:
-                        cloud.save(path)
+                        PointCloud(spec.d, points[start:start + size]).save(path)
                     raise AuditError(
                         f"isolated-cycle count {count} exceeds persistent Betti {rank} "
                         f"at n={n:g}, trial {t}; offending cloud saved to {path}")

@@ -119,8 +119,9 @@ def _cofaces(pts: np.ndarray, above: Mapping[int, set[int]],
         frontier = next_frontier
 
 
-def _edge_pairs(points: np.ndarray, sizes: Sequence[int],
-                r_max: float) -> tuple[np.ndarray, np.ndarray]:
+def _edge_pairs(
+        points: np.ndarray, sizes: Sequence[int], r_max: float,
+        near: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The edges of Cech_{r_max} in each cloud of a batch: pairs i < j of value <= r_max.
 
     The clouds are stacked as `geometry._near_pairs` takes them, and pairs
@@ -128,39 +129,52 @@ def _edge_pairs(points: np.ndarray, sizes: Sequence[int],
     (`_rows_dist2`, the squared distance `_dist2` takes). The neighbour
     query runs with a relative slack, so rounding in the k-d tree or in
     (2*r_max)**2 never drops an edge whose value is exactly r_max; the value
-    test decides. Returns the pairs, in no fixed order, and their values.
+    test decides. `near`, if given, is the batch's `_near_pairs` at a cutoff
+    of 2*r_max or more, and takes the place of the query: its candidates
+    hold every edge, with the same squared lengths. Returns the pairs, in
+    no fixed order, and their values.
     """
-    pairs, d2 = _near_pairs(points, sizes, 2.0 * r_max)
+    pairs, d2 = _near_pairs(points, sizes, 2.0 * r_max) if near is None else near
     values = 0.5 * np.sqrt(d2)
     inside = values <= r_max
     return pairs[inside], values[inside]
 
 
-def _component_filtrations(points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray,
-                           labels: np.ndarray, keep: np.ndarray, r_max: float, max_dim: int,
-                           owner: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _component_filtrations(
+        points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray, labels: np.ndarray,
+        keep: np.ndarray, r_max: float, max_dim: int, owner: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray | None]]:
     """Simplices of the kept components of one or more clouds, built in one batched pass.
 
     `edges` and `edge_values` are the edges of Cech_{r_max} (`_edge_pairs`),
     `labels` the connected components of that graph and `keep` a mask over
-    labels; `owner` maps a label to its cloud, for the triangle cap. Returns, for q = 0..max_dim, the
-    q-simplices of all kept components as rows of ascending global vertex
-    indices, and their values, in no fixed order. The simplices of one
-    component, with their values, are those of the scalar reference builder
-    in `tests/scalar_cech.py` (one `miniball` call per candidate simplex)
-    run on its members taken as a sub-cloud in ascending index order:
-    triangle radii are bit-equal to `miniball`'s (`_triangle_radii`).
+    labels; `owner` maps a label to its cloud, for the triangle cap.
+    Returns, for q = 0..max_dim, the q-simplices of all kept components as
+    rows of ascending global vertex indices, and their values, in no fixed
+    order; and, per q, the facets of each q-simplex as an (m, q + 1) index
+    array into the (q-1)-simplices, column j the facet without vertex j,
+    for triangles, and None for the other dimensions. The
+    simplices of one component, with their values, are those of the scalar
+    reference builder in `tests/scalar_cech.py` (one `miniball` call per
+    candidate simplex) run on its members taken as a sub-cloud in ascending
+    index order: triangle radii are bit-equal to `miniball`'s
+    (`_triangle_radii`).
     """
     kept = np.flatnonzero(keep[labels])  # ascending
     parts = [(kept[:, None], np.zeros(len(kept)))]  # (vertices, values) per dimension
+    facets: list[np.ndarray | None] = [None]
     if max_dim >= 1:
         mine = keep[labels[edges[:, 0]]]
         edges, edge_values = edges[mine], edge_values[mine]
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         edges = edges[order]
         parts.append((edges, edge_values[order]))
+        facets.append(None)
     if max_dim >= 2:
-        parts.append(_triangles(points, edges, parts[1][1], r_max, owner[labels[edges[:, 0]]]))
+        triangles, triangle_values, faces = _triangles(points, edges, parts[1][1], r_max,
+                                                       owner[labels[edges[:, 0]]])
+        parts.append((triangles, triangle_values))
+        facets.append(faces)
     if max_dim >= 3:
         above: dict[int, set[int]] = defaultdict(set)
         for i, j in edges.tolist():
@@ -171,7 +185,8 @@ def _component_filtrations(points: np.ndarray, edges: np.ndarray, edge_values: n
             of_q = [sv for sv in grown if len(sv[0]) == q + 1]
             parts.append((np.array([verts for verts, _ in of_q], dtype=np.intp).reshape(-1, q + 1),
                           np.array([value for _, value in of_q])))
-    return parts
+            facets.append(None)
+    return parts, facets
 
 
 # Candidate triangles one cloud may need; `_triangles` also holds at most this
@@ -181,13 +196,15 @@ def _component_filtrations(points: np.ndarray, edges: np.ndarray, edge_values: n
 _MAX_TRIANGLE_CANDIDATES = 5_000_000
 
 
-def _triangles(points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray,
-               r_max: float, edge_clouds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triangles of a lexsorted edge list with value <= r_max, and their values.
+def _triangles(points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray, r_max: float,
+               edge_clouds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangles of a lexsorted edge list with value <= r_max, their values and facets.
 
     For each edge (i, j), every edge (j, v) gives a candidate (i, j, v),
     kept if (i, v) is an edge too (binary search on the keys i*n + v). Its
     value is the largest of its miniball radius and its three edge values.
+    Its facets are the edges (j, v), (i, v) and (i, j), as indices into
+    `edges`: the facets without vertex i, j and v.
     Raises ConfigurationError, before allocating them, when the candidates
     of one cloud (`edge_clouds` numbers the cloud of each edge) number more than
     `_MAX_TRIANGLE_CANDIDATES`. Candidates are made for consecutive runs of
@@ -195,7 +212,7 @@ def _triangles(points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray,
     more memory than its largest allowed cloud.
     """
     if not len(edges):
-        return np.zeros((0, 3), dtype=np.intp), np.zeros(0)
+        return np.zeros((0, 3), dtype=np.intp), np.zeros(0), np.zeros((0, 3), dtype=np.intp)
     n = len(points)
     first, second = edges[:, 0], edges[:, 1]
     count = np.bincount(first, minlength=n)
@@ -227,7 +244,7 @@ def _triangles(points: np.ndarray, edges: np.ndarray, edge_values: np.ndarray,
     values = np.maximum.reduce([_triangle_radii(points[triangles]),
                                 edge_values[ij], edge_values[iv], edge_values[jv]])
     inside = values <= r_max
-    return triangles[inside], values[inside]
+    return triangles[inside], values[inside], np.column_stack((jv[inside], iv[inside], ij[inside]))
 
 
 def build_cech_filtration(cloud: PointCloud, r_max: float, max_dim: int,
@@ -258,9 +275,10 @@ def _build(cloud: PointCloud, r_max: float, max_dim: int, force: bool = False) -
             f"max_dim={max_dim} exceeds the ambient dimension {cloud.dim}; "
             "degree-k homology needs simplices only up to dimension k+1 <= d. "
             "Pass force=True to build anyway.")
-    parts = _component_filtrations(cloud.points, *_edge_pairs(cloud.points, [len(cloud)], r_max),
-                                   np.zeros(len(cloud), dtype=np.intp), np.array([True]),
-                                   r_max, max_dim, np.array([0]))
+    parts, _ = _component_filtrations(cloud.points,
+                                      *_edge_pairs(cloud.points, [len(cloud)], r_max),
+                                      np.zeros(len(cloud), dtype=np.intp), np.array([True]),
+                                      r_max, max_dim, np.array([0]))
     simplices = sorted(((verts, value) for rows, values in parts
                         for verts, value in zip(map(tuple, rows.tolist()), values.tolist())),
                        key=lambda sv: (sv[1], len(sv[0]), sv[0]))

@@ -13,7 +13,10 @@ kept apart by their cloud number as an extra last coordinate. An exact test
 on `_rows_dist2` of the original coordinates then decides each pair
 (`_close_pairs`: squared distance <= cutoff**2; `filtration._edge_pairs`:
 edge value <= r_max), so neither the tree's arithmetic nor the grouping
-can move a tie.
+can move a tie. The candidates of a query at a cutoff hold every pair
+within any smaller one, with the same squared distances, so one query at
+the largest cutoff of several consumers serves them all, each applying
+its own test.
 """
 from __future__ import annotations
 

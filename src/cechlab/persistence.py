@@ -45,11 +45,15 @@ labels the components in numpy.
 `persistent_bettis` runs all of this on a batch of clouds: their points
 are stacked one after another, and one neighbour pass finds the edges
 of every cloud (`geometry._near_pairs`: tiny clouds share k-d trees, set
-apart by an extra coordinate, and large clouds keep their own). Pairs
-never join two clouds, so components never mix, and one labelling, one
-batched build and one reduction serve every cloud. Each term of the rank
-below is a sum over components, so `np.bincount` over the cloud of each
-simplex splits it per cloud. `persistent_betti` is the batch of one.
+apart by an extra coordinate, and large clouds keep their own). A caller
+that has already made that pass at a larger cutoff hands its candidates
+over instead (the audit, for its isolation labels and locality pairs;
+`zeta`, with every pair of its configurations), and the edge test keeps
+the same pairs. Pairs never join two clouds, so components never mix,
+and one labelling, one batched build and one reduction serve every
+cloud. Each term of the rank below is a sum over components, so
+`np.bincount` over the cloud of each simplex splits it per cloud.
+`persistent_betti` is the batch of one.
 
 The rank itself is read off those arrays without a diagram. With
 K = Cech_r and L = Cech_{theta*r},
@@ -62,12 +66,17 @@ rows of value <= r number the rank of that row block, which is the last
 term, whatever the order of the columns and of rows at equal value. One
 pass reduces the (k+1)-columns of all kept components together, rows
 numbered by component and then value, so the components never mix. For
-k = 1, rank d_k(K) is vertices minus components of K's 1-skeleton;
+k = 1, rank d_k(K) is vertices minus components of K's 1-skeleton,
+counted per cloud by the labelling that looked for cycles at r;
 above, it is the pivot count of a second pass over K's k-columns that
 skips the k-simplices that are pivots of the first (clearing: such a
 column is a sum of columns before it in the same row order). The
 diagrams of `compute_persistence` and of the witness search come from
-the same reducer, with the columns in value order.
+the same reducer, with the columns in value order. A column's rows are
+its facets: the batched builder hands over the edges of each triangle as
+it finds them, and the rest (vertices of edges, tetrahedra and up, and
+every simplex of a `FilteredComplex` from outside) are looked up by code
+(`_facet_index`).
 """
 from __future__ import annotations
 
@@ -211,15 +220,17 @@ def compute_persistence(complex_: FilteredComplex,
 
 
 def _diagram(simplices: list[tuple[np.ndarray, np.ndarray]], labels: np.ndarray,
-             field_spec: FieldSpec) -> PersistenceDiagram:
+             field_spec: FieldSpec,
+             facets: Sequence[np.ndarray | None] | None = None) -> PersistenceDiagram:
     """Persistence diagram of simplices given per dimension as (vertices, values).
 
     The simplices may come in any order, and `labels` gives each vertex a
     component that holds every simplex through it (any coarser partition
-    serves, one label for all included). Each dimension's columns are
-    reduced by `_pivot_rows` in value order, from the top dimension down,
-    skipping the simplices paired as births by the dimension above
-    (clearing). The order of simplices of equal value changes which of them
+    serves, one label for all included). `facets`, if given, holds per
+    dimension the builder's facet indices or None (see `_pivot_rows`).
+    Each dimension's columns are reduced by `_pivot_rows` in value order,
+    from the top dimension down, skipping the simplices paired as births
+    by the dimension above (clearing). The order of simplices of equal value changes which of them
     pair, not the intervals: zero-length pairs are dropped, and the
     simplices left unpaired are the essential classes.
     """
@@ -229,7 +240,8 @@ def _diagram(simplices: list[tuple[np.ndarray, np.ndarray]], labels: np.ndarray,
     for q in range(len(simplices) - 1, 0, -1):
         order = np.argsort(simplices[q][1], kind="stable")
         columns = order[ends[q][order] == math.inf]  # not births of the dimension above
-        rows, cols = _pivot_rows(simplices, q, labels, field_spec.characteristic, columns)
+        rows, cols = _pivot_rows(simplices, q, labels, field_spec.characteristic, columns,
+                                 None if facets is None else facets[q])
         ends[q - 1][rows] = simplices[q][1][cols]
         ends[q][cols] = -math.inf
     kept = [values < end for (_, values), end in zip(simplices, ends)]
@@ -285,13 +297,17 @@ def persistent_bettis(clouds: Sequence[PointCloud], r: float, theta: float, k: i
 
 
 def _persistent_bettis(points: np.ndarray, sizes: Sequence[int], r: float, theta: float,
-                       k: int, field_spec: FieldSpec) -> np.ndarray:
+                       k: int, field_spec: FieldSpec,
+                       near: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """`persistent_bettis` of the clouds stacked in `points`, one after another, of `sizes`.
 
-    The arguments are taken as checked.
+    The arguments are taken as checked. `near`, if given, is the batch's
+    `geometry._near_pairs` at a cutoff of 2*theta*r or more, and takes the
+    place of the neighbour query (`filtration._edge_pairs`).
     """
     m = len(sizes)
-    owner, labels, simplices = _component_complexes(points, sizes, r, theta * r, k)
+    owner, labels, simplices, facets, pieces = _component_complexes(points, sizes, r,
+                                                                     theta * r, k, near)
     if k == 0:  # every class is born at 0 and survives in its component at theta*r
         return np.bincount(owner, minlength=m)
     if not simplices:
@@ -300,43 +316,46 @@ def _persistent_bettis(points: np.ndarray, sizes: Sequence[int], r: float, theta
     def per_cloud(vertices: np.ndarray) -> np.ndarray:
         return np.bincount(owner[labels[vertices]], minlength=m)
 
-    vertices = simplices[0][0][:, 0]
     inner = simplices[k][1] <= r
     born = per_cloud(simplices[k][0][inner, 0])
     p = field_spec.characteristic
-    lows = _pivot_rows(simplices, k + 1, labels, p, np.arange(len(simplices[k + 1][1])))[0]
+    lows = _pivot_rows(simplices, k + 1, labels, p, np.arange(len(simplices[k + 1][1])),
+                       facets[k + 1])[0]
     filled = per_cloud(simplices[k][0][lows[inner[lows]], 0])
-    if k == 1:
-        inner_labels = _labels(len(vertices), np.searchsorted(vertices, simplices[1][0][inner]))
-        first = np.unique(inner_labels, return_index=True)[1]  # a vertex of each component
-        boundaries = per_cloud(vertices) - per_cloud(vertices[first])
+    if k == 1:  # rank d_1(K) is its vertices less its components
+        boundaries = per_cloud(simplices[0][0][:, 0]) - pieces
     else:
         inner[lows] = False  # cleared: a pivot row's own column reduces to zero
-        pivots = _pivot_rows(simplices, k, labels, p, np.flatnonzero(inner))[0]
+        pivots = _pivot_rows(simplices, k, labels, p, np.flatnonzero(inner), facets[k])[0]
         boundaries = per_cloud(simplices[k - 1][0][pivots, 0])
     return born - boundaries - filled
 
 
 def _component_complexes(
-        points: np.ndarray, sizes: Sequence[int], r: float, r_outer: float, k: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        points: np.ndarray, sizes: Sequence[int], r: float, r_outer: float, k: int,
+        near: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]],
+           list[np.ndarray | None], np.ndarray | None]:
     """The split behind `persistent_bettis`, for a batch of one or more clouds.
 
     `points` stacks the clouds one after another and `sizes` gives their
     point counts. Returns the cloud of each component, the component labels
-    of the points (the components of K_{r_outer}'s 1-skeleton), and the
-    simplices up to dimension k+1 of every kept component with their values,
-    per dimension (`filtration._component_filtrations`). One neighbour pass
-    (`filtration._edge_pairs`) finds the edges of every cloud. The batched
-    build is skipped, and the list is empty, when no component is kept.
+    of the points (the components of K_{r_outer}'s 1-skeleton), the
+    simplices up to dimension k+1 of every kept component with their values
+    and their facets, per dimension (`filtration._component_filtrations`),
+    and for k >= 1 the number of components of K_r's 1-skeleton inside kept
+    components, per cloud. One neighbour pass (`filtration._edge_pairs`, or
+    `near` if given) finds the edges of every cloud. The batched build is
+    skipped, and the lists are empty, when no component is kept.
     """
-    pairs, values = _edge_pairs(points, sizes, r_outer)
+    pairs, values = _edge_pairs(points, sizes, r_outer, near)
     n = len(points)
     labels = _labels(n, pairs)
     owner = np.empty(int(labels.max()) + 1 if n else 0, dtype=np.intp)
     owner[labels] = np.repeat(np.arange(len(sizes)), sizes)
     counts = np.bincount(labels, minlength=len(owner))
     keep = counts >= k + 2
+    pieces = None
     if k > 0:
         # Keep a component only if its 1-skeleton at r has a cycle.
         inner = pairs[values <= r]
@@ -346,19 +365,25 @@ def _component_complexes(
         cycles = (np.bincount(labels[inner[:, 0]], minlength=len(counts)) - counts
                   + np.bincount(outer_of, minlength=len(counts)))
         keep &= cycles > 0
+        pieces = np.bincount(owner[outer_of[keep[outer_of]]], minlength=len(sizes))
     if not keep.any():
-        return owner, labels, []
-    return owner, labels, _component_filtrations(points, pairs, values, labels, keep,
-                                                 r_outer, k + 1, owner)
+        return owner, labels, [], [], pieces
+    simplices, facets = _component_filtrations(points, pairs, values, labels, keep,
+                                               r_outer, k + 1, owner)
+    return owner, labels, simplices, facets, pieces
 
 
 def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: np.ndarray,
-                p: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                p: int, columns: np.ndarray,
+                facets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pivots of the reduced boundary matrix of the q-simplices over F_p, as (row, column) pairs.
 
     `simplices` holds (vertices, values) per dimension for disjoint
     components (`labels` of their vertices); `columns` indexes the
-    q-simplices to reduce, in the order they are reduced. Rows are the
+    q-simplices to reduce, in the order they are reduced. `facets` gives,
+    for every q-simplex, the index of its facet without vertex j among the
+    (q-1)-simplices in column j, as the builder found them; without it they
+    are looked up by code (`_facet_index`). Rows are the
     (q-1)-simplices ordered by component and, within one, by value, ties in
     their given order: so the pivots among rows of value <= r number
     dim(B_{q-1}(K) & C_{q-1}(K_r)) whatever the column order, and with
@@ -373,12 +398,13 @@ def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: 
     order = np.lexsort((values, component))
     row = np.empty(len(order), dtype=np.intp)
     row[order] = np.arange(len(order))
-    cofaces = simplices[q][0][columns]
-    rows = row[_facet_index(simplices, cofaces, len(labels))]
+    lead = simplices[q][0][columns, 0]  # a vertex of each column, for its component
+    rows = row[_facet_index(simplices, simplices[q][0][columns], len(labels)) if facets is None
+               else facets[columns]]
     pivots: dict = {}
     if p == 2:
         sizes = np.bincount(component)
-        base = (np.cumsum(sizes) - sizes)[labels[cofaces[:, 0]]]
+        base = (np.cumsum(sizes) - sizes)[labels[lead]]
         # Columns are built facet by facet, one list of ints per facet: a small
         # list per column made this loop up to twice as slow on a batch of
         # figure-1 clouds once other work had churned the heap.
@@ -389,7 +415,7 @@ def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: 
         lows = [_reduce_gf2(col, pivots, first) for col, first in zip(cols, base.tolist())]
     else:
         signs = [(-1) ** omit % p for omit in range(q + 1)]
-        lows = [_reduce_gfp(dict(zip(facets, signs)), pivots, p) for facets in rows.tolist()]
+        lows = [_reduce_gfp(dict(zip(column, signs)), pivots, p) for column in rows.tolist()]
     lows = np.array(lows, dtype=np.intp)
     paired = lows >= 0
     return order[lows[paired]], columns[paired]

@@ -19,21 +19,25 @@ Isolation (`sep`) is read off the same component layer that splits
 closed) exactly when it is a union of connected components of the
 geometric graph at 2r. A `ContextIndicator`'s `labels` label the graph
 at 2r of a batch of stacked clouds from one neighbour pass
-(`geometry._close_pairs`); the trivial context makes each point a
-component. One enumerator, `_unions`, serves every count: over a whole
-batch in numpy, it grows the p-point unions of components that are
-cliques at the locality radius, level by level. These are the isolated
-p-cliques, or in the trivial context all p-cliques, so `count_property`
-is `subset_count` in the trivial context. Both match exhaustive
-enumeration exactly (tested).
+(`geometry._near_pairs`); the trivial context makes each point a
+component. A count makes one pass for both its labels and its locality
+pairs, at the larger cutoff (`_reach`), and each keeps the candidates
+that pass its own closed test. One enumerator, `_unions`, serves every
+count: over a whole batch in numpy, it grows the p-point unions of
+components that are cliques at the locality radius, level by level.
+These are the isolated p-cliques, or in the trivial context all
+p-cliques, so `count_property` is `subset_count` in the trivial context.
+Both match exhaustive enumeration exactly (tested).
 
 Indicators are stacked: a descriptor's indicator takes an array
 (m, p, d) of m configurations and returns m booleans, and calling it on
 one configuration is the stack of one. `subset_counts` evaluates the
 base once on the unions of a whole batch, `estimate_mu` once on all its
 configurations, and `palm_check` and `convergence_diagnostic` once per
-batch of clouds. `zeta` hands its stack to the rank pass behind
-`persistent_bettis`; `iso_graph`, `spread` and `conn` test the pairs of
+batch of clouds, each batch drawn as one stack (`sampling._sample_stack`).
+`zeta` hands its stack to the rank pass behind `persistent_bettis`, with
+the pairs and squared distances `_gaps` already gave it, so the rank pass
+makes no neighbour query; `iso_graph`, `spread` and `conn` test the pairs of
 the stack in one `_rows_dist2` call, and `iso_graph` then answers the
 whole stack with one `np.isin`.
 """
@@ -42,16 +46,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (_BATCH_POINTS, PointCloud, _close_pairs, _labels, _rows_dist2, _stacked,
+from .geometry import (_BATCH_POINTS, PointCloud, _labels, _near_pairs, _rows_dist2, _stacked,
                        ball_volume)
 from .persistence import FieldSpec, GF2, _persistent_bettis
-from .sampling import Density, sample_binomial, sample_in_ball, sample_poisson
+from .sampling import Density, _sample_stack, sample_binomial, sample_in_ball
 
 __all__ = [
     "SmallGraph",
@@ -196,14 +200,25 @@ class ContextIndicator:
     def labels(self, points: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
         """Component labels at 2*scale of a batch of clouds stacked one after another.
 
-        One neighbour pass (`geometry._close_pairs`) and one labelling serve
+        One neighbour pass (`geometry._near_pairs`) and one labelling serve
         the batch; components are numbered by smallest member, so a cloud's
         labels minus its first point's are that cloud's own labels. In the
         trivial context every point is a component of its own.
         """
         if self.trivial:
             return np.arange(len(points))
-        return _labels(len(points), _close_pairs(points, sizes, 2.0 * self.scale))
+        return self._labelled(len(points), *_near_pairs(points, sizes, 2.0 * self.scale))
+
+    def _labelled(self, n: int, pairs: np.ndarray, d2: np.ndarray) -> np.ndarray:
+        """`labels` of a batch of n points from its `_near_pairs` at 2*scale or beyond.
+
+        The pairs at distance <= 2*scale are those whose squared distance
+        `d2` is <= (2*scale)**2, the closed test of `geometry._close_pairs`.
+        """
+        if self.trivial:
+            return np.arange(n)
+        cutoff = 2.0 * self.scale
+        return _labels(n, pairs[d2 <= cutoff * cutoff])
 
     def __mul__(self, base: PropertyDescriptor) -> "SubsetPropertyDescriptor":
         return SubsetPropertyDescriptor(base=base, context=self)
@@ -350,13 +365,20 @@ def zeta(r: float, p: int, theta: float, k: int,
         raise ValueError(f"cycle degree must be at least 1, got {k}")
     cap = 2.0 * theta * r * p
 
+    first, second = _pairs(p)
+
     def indicator(stack: np.ndarray) -> np.ndarray:
-        local = ~(_gaps(stack) > cap * cap).any(axis=1)
+        gaps = _gaps(stack)
+        local = ~(gaps > cap * cap).any(axis=1)
         ranked = stack[local]
         if not np.isfinite(ranked).all():
             raise ValueError("coordinates must be finite")
+        # Every pair of a configuration is a candidate, with its squared distance
+        # from `_gaps`: the neighbour query's pairs, with no query.
+        base = (np.arange(len(ranked)) * p)[:, None]
+        pairs = np.stack((first + base, second + base), axis=-1).reshape(-1, 2)
         ranks = _persistent_bettis(ranked.reshape(-1, stack.shape[2]), [p] * len(ranked),
-                                   r, theta, k, field_spec)
+                                   r, theta, k, field_spec, (pairs, gaps[local].ravel()))
         held = np.zeros(len(stack), dtype=bool)
         held[local] = ranks >= 1
         return held
@@ -463,23 +485,42 @@ def subset_count(h: SubsetPropertyDescriptor, cloud: PointCloud) -> int:
 def subset_counts(h: SubsetPropertyDescriptor, clouds: Sequence[PointCloud]) -> np.ndarray:
     """`subset_count` of each cloud of a batch, with one base evaluation for all of them.
 
-    The clouds are stacked one after another. One neighbour pass labels the
-    components of the context's graph in every cloud (`ContextIndicator.labels`;
-    with the trivial context each point is its own component) and a second
-    finds the pairs at the base's locality radius (`geometry._close_pairs`).
-    `_unions` grows the p-point unions of components that are cliques there,
-    for the whole batch at once: the isolated p-cliques, or with the trivial
-    context all p-cliques. The base is evaluated once, on the stack of them
-    all, and its hits are summed per cloud. Returns one count per cloud, as
-    an int64 array.
+    The clouds are stacked one after another. One neighbour pass
+    (`geometry._near_pairs`, at `_reach(h)`) serves the whole batch: its
+    pairs within twice the context's scale label the components of the
+    context's graph in every cloud (with the trivial context each point is
+    its own component), and its pairs within the base's locality radius
+    feed `_unions`. That grows the p-point unions of components that are
+    cliques there, for the whole batch at once: the isolated p-cliques, or
+    with the trivial context all p-cliques. The base is evaluated once, on
+    the stack of them all, and its hits are summed per cloud. Returns one
+    count per cloud, as an int64 array.
     """
     if not clouds:
         return np.zeros(0, dtype=np.int64)
-    points, sizes = _stacked(clouds)
-    cloud_of = np.repeat(np.arange(len(clouds)), sizes)
-    rows = _unions(h.arity, h.context.labels(points, sizes),
-                   _close_pairs(points, sizes, h.base.locality_radius()), cloud_of)
-    return np.bincount(cloud_of[rows[:, 0]][h.base.holds(points[rows])], minlength=len(clouds))
+    return _subset_counts(h, *_stacked(clouds))
+
+
+def _reach(h: SubsetPropertyDescriptor) -> float:
+    """The neighbour cutoff `_subset_counts` needs: the locality radius, or 2*scale if larger."""
+    local = h.base.locality_radius()
+    return local if h.context.trivial else max(local, 2.0 * h.context.scale)
+
+
+def _subset_counts(h: SubsetPropertyDescriptor, points: np.ndarray, sizes: Sequence[int],
+                   near: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """`subset_counts` of a nonempty batch of clouds stacked in `points`, of `sizes`.
+
+    `near` is the batch's `_near_pairs` at `_reach(h)` or beyond, with their
+    squared distances; without it, one query makes them. Each consumer keeps
+    the candidates that pass its own closed test on those squared distances.
+    """
+    pairs, d2 = _near_pairs(points, sizes, _reach(h)) if near is None else near
+    local = h.base.locality_radius()
+    cloud_of = np.repeat(np.arange(len(sizes)), sizes)
+    rows = _unions(h.arity, h.context._labelled(len(points), pairs, d2),
+                   pairs[d2 <= local * local], cloud_of)
+    return np.bincount(cloud_of[rows[:, 0]][h.base.holds(points[rows])], minlength=len(sizes))
 
 
 def component_count(gamma: SmallGraph, cloud: PointCloud, r: float) -> int:
@@ -541,43 +582,41 @@ def estimate_mu(g: PropertyDescriptor, f: Density, samples: int,
     return MuEstimate(mean, se)
 
 
-def _drawn(draw: Callable[[], PointCloud], trials: int) -> Iterator[list[PointCloud]]:
-    """`trials` clouds from `draw`, drawn in order, in batches of at most `_BATCH_POINTS` points.
+def _batch_sizes(trials: int, per_trial: float) -> Iterator[int]:
+    """Trial counts of consecutive batches of about `_BATCH_POINTS` points, and at least one.
 
-    A cloud larger than that is a batch of its own.
+    `per_trial` is the mean number of points a trial's cloud holds; a value
+    the sampler refuses (NaN, negative) is left for it to report.
     """
-    batch, held = [], 0
-    for _ in range(trials):
-        cloud = draw()
-        if batch and held + len(cloud) > _BATCH_POINTS:
-            yield batch
-            batch, held = [], 0
-        batch.append(cloud)
-        held += len(cloud)
-    if batch:
-        yield batch
+    size = max(1, int(_BATCH_POINTS // per_trial)) if per_trial > 1.0 else _BATCH_POINTS
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
 
 
 def _poisson_counts(h: SubsetPropertyDescriptor, n: float, f: Density, trials: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """`subset_count` of `trials` clouds `sample_poisson(n, f, rng)`, drawn in order, as floats."""
-    batches = _drawn(lambda: sample_poisson(n, f, rng), trials)
-    return np.concatenate([subset_counts(h, batch) for batch in batches]).astype(np.float64)
+    """`subset_count` of `trials` clouds `sample_poisson(n, f, rng)`, drawn in order, as floats.
+
+    The clouds are drawn and counted in batches (`sampling._sample_stack`).
+    """
+    counts = [_subset_counts(h, *_sample_stack(n, f, repeat(rng, size)))
+              for size in _batch_sizes(trials, n)]
+    return np.concatenate(counts).astype(np.float64)
 
 
-def _anchor_holds(h: SubsetPropertyDescriptor, clouds: Sequence[PointCloud]) -> np.ndarray:
-    """Whether h holds for the first p points of each cloud of a batch, in its cloud.
+def _anchor_holds(h: SubsetPropertyDescriptor, points: np.ndarray,
+                  sizes: Sequence[int]) -> np.ndarray:
+    """Whether h holds for the first p points of each cloud of a stacked batch, in its cloud.
 
     They are isolated when the components of the context's graph that they
     touch hold no other point; the base is evaluated once, on those that are.
     """
-    points, sizes = _stacked(clouds)
     labels = h.context.labels(points, sizes)
     heads = (np.cumsum(sizes) - sizes)[:, None] + np.arange(h.arity)
     touched = labels[heads]
     inside = np.bincount(touched.ravel(), minlength=len(points))
     isolated = (np.bincount(labels)[touched] == inside[touched]).all(axis=1)
-    held = np.zeros(len(clouds), dtype=bool)
+    held = np.zeros(len(sizes), dtype=bool)
     held[isolated] = h.base.holds(points[heads[isolated]])
     return held
 
@@ -603,8 +642,9 @@ def palm_check(h: SubsetPropertyDescriptor, n: float, f: Density, trials: int,
 
     with X_p an independent binomial sample. Both sides are estimated by
     Monte Carlo and compared at three standard errors. The clouds are drawn
-    one trial after another, in the order of a per-trial loop, and each side
-    is evaluated in batches of at most `_BATCH_POINTS` points.
+    one trial after another, in the order of a per-trial loop
+    (`sampling._sample_stack`), and each side is evaluated in batches of
+    about `_BATCH_POINTS` points.
     """
     if trials < 2:
         raise ValueError(f"need at least two trials, got {trials}")
@@ -613,17 +653,13 @@ def palm_check(h: SubsetPropertyDescriptor, n: float, f: Density, trials: int,
     lhs = float(lhs_vals.mean())
     lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(trials))
 
-    def anchored() -> PointCloud:
-        anchor = sample_binomial(p, f, rng)
-        if h.context.trivial:
-            return anchor
-        ambient = sample_poisson(n, f, rng)
-        return PointCloud(f.dim, np.vstack([anchor.points, ambient.points]))
-
+    # Each right-hand trial draws X_p, then, unless every subset is in context, P_n.
+    ambient = None if h.context.trivial else n
     rhs_trials = trials if rhs_trials is None else rhs_trials
     factor = n ** p / math.factorial(p)
-    rhs_vals = np.concatenate([_anchor_holds(h, batch)
-                               for batch in _drawn(anchored, rhs_trials)]).astype(np.float64)
+    rhs_vals = np.concatenate([
+        _anchor_holds(h, *_sample_stack(ambient, f, repeat(rng, size), anchors=p))
+        for size in _batch_sizes(rhs_trials, p if ambient is None else p + n)]).astype(np.float64)
     rhs = factor * float(rhs_vals.mean())
     rhs_se = factor * float(rhs_vals.std(ddof=1) / math.sqrt(rhs_trials))
     return PalmResult(lhs, lhs_se, rhs, rhs_se,

@@ -4,12 +4,15 @@ All randomness flows through numpy's Philox generator, a counter-based
 bit generator that supports cheap stream splitting: `stream(seed, i, t)`
 yields an independent generator for, say, grid index i and trial t, so
 trials can run in any order (or in parallel) and still reproduce.
+Batched callers draw the clouds of many trials as one stack of points
+(`_sample_stack`), with the same draws from each stream as one
+`sample_poisson` call per trial.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -97,18 +100,19 @@ class Density:
                 f"density value {value} exceeds its declared bound {self.bound}")
         return value
 
-    def _uniform_in_box(self, count: int, rng: np.random.Generator) -> np.ndarray:
+    def _onto_box(self, units: np.ndarray) -> np.ndarray:
+        """Rows of unit draws in [0, 1)^d mapped onto the box."""
         lows = np.array([lo for lo, _ in self.box])
         highs = np.array([hi for _, hi in self.box])
-        return lows + rng.random((count, self.dim)) * (highs - lows)
+        return lows + units * (highs - lows)
+
+    def _uniform_in_box(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return self._onto_box(rng.random((count, self.dim)))
 
 
 def sample_binomial(n: int, density: Density, rng: np.random.Generator) -> PointCloud:
     """n i.i.d. points from the density."""
-    if not isinstance(density, Density):
-        raise ConfigurationError(
-            f"density must be a Density, e.g. Density.uniform_box(box), "
-            f"got {type(density).__name__}")
+    _check_density(density)
     n = int(n)
     if n < 0:
         raise ValueError(f"sample size must be nonnegative, got {n}")
@@ -116,6 +120,18 @@ def sample_binomial(n: int, density: Density, rng: np.random.Generator) -> Point
         return PointCloud(density.dim, np.zeros((0, density.dim)))
     if density.kind == "uniform-box":
         return PointCloud(density.dim, density._uniform_in_box(n, rng))
+    return PointCloud(density.dim, _rejected(n, density, rng))
+
+
+def _check_density(density: Density) -> None:
+    if not isinstance(density, Density):
+        raise ConfigurationError(
+            f"density must be a Density, e.g. Density.uniform_box(box), "
+            f"got {type(density).__name__}")
+
+
+def _rejected(n: int, density: Density, rng: np.random.Generator) -> np.ndarray:
+    """n points of a custom density by rejection against the uniform proposal on its box."""
     rows: list[np.ndarray] = []
     proposed = 0
     barren = 0  # consecutive batches without an acceptance
@@ -135,7 +151,12 @@ def sample_binomial(n: int, density: Density, rng: np.random.Generator) -> Point
                     break
         proposed += _REJECTION_BATCH
         barren = barren + 1 if len(rows) == before else 0
-    return PointCloud(density.dim, np.asarray(rows))
+    return np.asarray(rows)
+
+
+def _check_intensity(intensity: float) -> None:
+    if not (intensity >= 0.0) or not math.isfinite(intensity):
+        raise ValueError(f"intensity must be a finite nonnegative real, got {intensity}")
 
 
 def sample_poisson(intensity: float, density: Density, rng: np.random.Generator) -> PointCloud:
@@ -144,10 +165,45 @@ def sample_poisson(intensity: float, density: Density, rng: np.random.Generator)
     Realized as a Poisson-distributed count of i.i.d. density draws, so
     disjoint regions receive independent Poisson-distributed counts.
     """
-    if not (intensity >= 0.0) or not math.isfinite(intensity):
-        raise ValueError(f"intensity must be a finite nonnegative real, got {intensity}")
+    _check_intensity(intensity)
     count = int(rng.poisson(intensity))
     return sample_binomial(count, density, rng)
+
+
+def _sample_stack(intensity: float | None, density: Density, rngs: Iterable[np.random.Generator],
+                  anchors: int = 0) -> tuple[np.ndarray, list[int]]:
+    """One cloud per generator, stacked one after another, and each one's size.
+
+    Each generator draws, in turn, `anchors` points as `sample_binomial(anchors,
+    density, rng)` does and then, unless `intensity` is None, a cloud as
+    `sample_poisson(intensity, density, rng)` does; a cloud is its anchors
+    followed by its Poisson points. The draws are those calls' own, in their
+    order, so the points are theirs bit for bit and each generator is left
+    where they leave it; no `PointCloud` is made. A uniform box maps all the
+    unit draws onto the box in one `Density._onto_box` pass, the arithmetic
+    of each call's own; a custom density takes its rejection path per cloud.
+    """
+    _check_density(density)
+    if intensity is not None:
+        _check_intensity(intensity)
+    box = density.kind == "uniform-box"
+    draws: list[np.ndarray] = []
+
+    def drawn(count: int, rng: np.random.Generator) -> int:
+        if count:
+            draws.append(rng.random((count, density.dim)) if box
+                         else _rejected(count, density, rng))
+        return count
+
+    sizes = []
+    for rng in rngs:
+        size = drawn(anchors, rng)
+        if intensity is not None:
+            size += drawn(int(rng.poisson(intensity)), rng)
+        sizes.append(size)
+    points = (draws[0] if len(draws) == 1 else np.concatenate(draws) if draws
+              else np.zeros((0, density.dim)))
+    return (density._onto_box(points) if box else points), sizes
 
 
 def sample_in_ball(count: int, dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:

@@ -36,15 +36,15 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _format_cloud, _parse_cloud, _rows_dist2,
+from .geometry import (_BATCH_POINTS, PointCloud, _format_cloud, _parse_cloud, _rows_dist2,
                        _triangle_radii)
 from .filtration import _component_filtrations
 from .persistence import FieldSpec, GF2, _diagram, persistent_betti, persistent_bettis
-from .properties import _drawn
 from .sampling import sample_in_ball
 
 __all__ = [
@@ -235,6 +235,23 @@ def perturbation_radius(R: float, r: float, theta: float) -> float:
     return (R - theta * r) / (theta + 1.0)
 
 
+def _drawn(draw: Callable[[], PointCloud], trials: int) -> Iterator[list[PointCloud]]:
+    """`trials` clouds from `draw`, drawn in order, in batches of at most `_BATCH_POINTS` points.
+
+    A cloud larger than that is a batch of its own.
+    """
+    batch, held = [], 0
+    for _ in range(trials):
+        cloud = draw()
+        if batch and held + len(cloud) > _BATCH_POINTS:
+            yield batch
+            batch, held = [], 0
+        batch.append(cloud)
+        held += len(cloud)
+    if batch:
+        yield batch
+
+
 def perturb_and_verify(witness: CycleWitness, rng: np.random.Generator, trials: int,
                        delta_scale: float = 1.0, field_spec: FieldSpec = GF2) -> float:
     """Fraction of uniformly perturbed copies that keep their persistent cycle.
@@ -284,10 +301,10 @@ def _best_interval(points: np.ndarray, k: int,
     if diameter == 0.0:
         return None
     one = np.zeros(n, dtype=np.intp)
-    simplices = _component_filtrations(points, edges, 0.5 * np.sqrt(d2), one, np.array([True]),
-                                       diameter, k + 1, one[:1])
+    simplices, facets = _component_filtrations(points, edges, 0.5 * np.sqrt(d2), one,
+                                               np.array([True]), diameter, k + 1, one[:1])
     best: tuple[float, float] | None = None
-    for birth, death in _diagram(simplices, one, field_spec).in_dimension(k):
+    for birth, death in _diagram(simplices, one, field_spec, facets).in_dimension(k):
         if birth > 0.0 and math.isfinite(death):
             if best is None or death / birth > best[1] / best[0]:
                 best = (birth, death)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from cechlab import cli, experiment, geometry
+from cechlab import cli, experiment, filtration, geometry, properties
 from cechlab.errors import AuditError, ConfigurationError
 from cechlab.experiment import (AuditRow, ExperimentSpec, ResultRow, audit_csv, fit_csv,
                                 fit_exponent, lower_bound_audit,
@@ -23,6 +23,7 @@ from cechlab.experiment import (AuditRow, ExperimentSpec, ResultRow, audit_csv, 
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
 from cechlab.persistence import persistent_betti, persistent_bettis
+from cechlab.properties import subset_count, subset_counts, upsilon
 from cechlab.render import render_balls
 from cechlab.sampling import Density, sample_poisson, stream
 from scalar_cech import scalar_build, scalar_persistence
@@ -158,9 +159,9 @@ def test_audit_guards(tmp_path):
 
 def test_tiny_clouds_share_k_d_trees_and_large_ones_keep_their_own(monkeypatch, tmp_path):
     # The criterion-6 audit at m = 3 (500 clouds of about 20 points, the
-    # benchmark's audit-6 spec) runs four neighbour passes over its batch: sep
-    # labels, locality pairs, the ranks and zeta's 3-point unions. Grouped, they
-    # build O(points / group size) k-d trees, not about six per cloud. A
+    # benchmark's audit-6 spec) runs one neighbour pass over its batch, for the
+    # sep labels, the locality pairs and the ranks. Grouped, it builds
+    # O(points / group size) k-d trees, not one per cloud. A
     # figure-1 cloud at n = 1e3 still builds exactly one tree, on its own
     # 2-d coordinates, alone or in a batch.
     trees: list[np.ndarray] = []
@@ -191,6 +192,41 @@ def test_tiny_clouds_share_k_d_trees_and_large_ones_keep_their_own(monkeypatch, 
     persistent_bettis(clouds, r, 1.4, 1)
     assert len(trees) == 3
     assert all(np.array_equal(tree, cloud.points) for tree, cloud in zip(trees, clouds))
+
+
+def test_an_audit_batch_makes_one_neighbour_query(monkeypatch, tmp_path):
+    # Each batch of the audit is queried once, at the largest cutoff its
+    # consumers need; zeta's indicator takes its pairs from its own gaps, and a
+    # lone subset_counts call queries once for its labels and locality pairs.
+    spec = ExperimentSpec(d=2, k=1, theta=1.0, density=Density.unit_cube(2), c=0.6, q=-0.6,
+                          n_grid=(20.0, 30.0), trials=60, seed=16006)
+    expected = []
+    for i, n in enumerate(spec.n_grid):
+        r = spec.radius(n)
+        h = upsilon(r, 3, spec.theta, spec.k)
+        for t in range(spec.trials):
+            cloud = sample_poisson(n, spec.density, stream(spec.seed, i, t))
+            expected.append((subset_count(h, cloud), persistent_betti(cloud, r, spec.theta, 1)))
+    assert any(count for count, _ in expected)
+    queries: list[int] = []
+
+    def counting(points, sizes, cutoff):
+        queries.append(len(sizes))
+        return geometry._near_pairs(points, sizes, cutoff)
+
+    for module in (experiment, filtration, properties):
+        monkeypatch.setattr(module, "_near_pairs", counting)
+    _on_cores(monkeypatch, {0})
+    monkeypatch.setattr(experiment, "_BATCH_POINTS", 200)  # batches of 10 and of 6 trials
+    table = lower_bound_audit(spec, m=3, dump_dir=tmp_path)
+    assert [(row.isolated_cycles, row.persistent_betti) for row in table.rows] == expected
+    assert queries == [10] * 6 + [6] * 10
+    queries.clear()
+    clouds = [sample_poisson(20.0, spec.density, stream(5, t)) for t in range(30)]
+    counts = subset_counts(upsilon(spec.radius(20.0), 3, 1.0, 1), clouds)
+    assert queries == [30]
+    assert counts.tolist() == [subset_count(upsilon(spec.radius(20.0), 3, 1.0, 1), cloud)
+                               for cloud in clouds]
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +368,15 @@ def test_an_audit_violation_dumps_and_raises_as_serial(monkeypatch, tmp_path, pl
     clouds = {sample_poisson(12.0, spec.density, stream(spec.seed, 0, t)).points.tobytes(): t
               for t in planted}
 
-    def planted_counts(h, batch):
-        ts = [clouds.get(cloud.points.tobytes()) for cloud in batch]
+    def planted_counts(h, points, sizes, near=None):
+        starts = np.cumsum(sizes) - sizes
+        ts = [clouds.get(points[start:start + size].tobytes())
+              for start, size in zip(starts, sizes)]
         if 3 in ts:
             time.sleep(0.3)
         return np.array([0 if t is None else 99 for t in ts])
 
-    monkeypatch.setattr(experiment, "subset_counts", planted_counts)
+    monkeypatch.setattr(experiment, "_subset_counts", planted_counts)
     outcomes = {}
     for cores in ({0}, {0, 1}):
         forked = _on_cores(monkeypatch, cores)
@@ -353,6 +391,9 @@ def test_an_audit_violation_dumps_and_raises_as_serial(monkeypatch, tmp_path, pl
     (kind, message), dumps = outcomes[1]
     assert kind == "AuditError" and f"trial {planted[0]};" in message
     assert list(dumps) == [f"audit-violation-n12-trial{planted[0]}.txt"]
+    # The dump is the violating cloud, sliced out of its batch's stack.
+    sample_poisson(12.0, spec.density, stream(spec.seed, 0, planted[0])).save(tmp_path / "own")
+    assert dumps[f"audit-violation-n12-trial{planted[0]}.txt"] == (tmp_path / "own").read_bytes()
 
 
 # ---------------------------------------------------------------------------

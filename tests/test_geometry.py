@@ -263,6 +263,30 @@ def test_batched_pairs_equal_the_per_cloud_pairs(d):
                                       _labels(len(pts), own))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_query_at_the_largest_cutoff_serves_every_consumer(d):
+    # The audit queries a batch once, at the locality radius 2*theta*r*m, and each
+    # consumer filters those candidates by its own closed test: isolation at
+    # 2*theta*r, the locality pairs at 2*theta*r*m and the Cech edges at theta*r.
+    # On dyadic lattices both cutoffs are lattice distances, so pairs sit exactly
+    # on them; the sets equal each consumer's own query at its own cutoff.
+    clouds = mixed_batch(d, np.random.default_rng(640 + d))
+    sizes = [len(pts) for pts in clouds]
+    stack = np.concatenate(clouds)
+    for r, theta, m in ((S / 2.0, 1.0, 3), (S / 4.0, 2.0, 2), (S / 2.0, 1.0, 4)):
+        isolation, locality = 2.0 * theta * r, 2.0 * theta * r * m
+        pairs, d2 = _near_pairs(stack, sizes, locality)
+        for cutoff in (isolation, locality):
+            mine = pairs[d2 <= cutoff * cutoff]
+            assert _as_set(mine) == _as_set(_close_pairs(stack, sizes, cutoff))
+            assert (d2 == cutoff * cutoff).any()  # a pair exactly at the cutoff
+        edges, values = _edge_pairs(stack, sizes, theta * r, (pairs, d2))
+        own_edges, own_values = _edge_pairs(stack, sizes, theta * r)
+        assert dict(zip(map(tuple, edges.tolist()), values.tolist())) == \
+            dict(zip(map(tuple, own_edges.tolist()), own_values.tolist()))
+        assert (values == theta * r).any()
+
+
 def test_diameter_is_the_scalar_loop():
     def scalar(pts: np.ndarray) -> float:
         return math.sqrt(max(_scalar_gaps(pts).values(), default=0.0))

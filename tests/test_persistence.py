@@ -13,9 +13,10 @@ from cechlab.errors import ConfigurationError
 from cechlab.filtration import FilteredComplex, build_cech_filtration
 from cechlab.geometry import PointCloud, _dist2, miniball
 from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, _component_complexes,
-                                 betti, compute_persistence, persistent_betti,
+                                 _facet_index, betti, compute_persistence, persistent_betti,
                                  persistent_betti_oracle, persistent_bettis)
 from cechlab.sampling import Density, sample_poisson, stream
+from mixed_batches import S, cubic_lattice
 from scalar_cech import scalar_build, scalar_persistence
 
 
@@ -267,7 +268,7 @@ def _assert_components_match_build(cloud: PointCloud, r: float, theta: float, k:
 
     Returns how many components were compared.
     """
-    _, labels, simplices = _component_complexes(cloud.points, [len(cloud)], r, theta * r, k)
+    _, labels, simplices, _, _ = _component_complexes(cloud.points, [len(cloud)], r, theta * r, k)
     if not simplices:
         return 0
     assert len(simplices) == k + 2
@@ -527,6 +528,35 @@ def test_diagrams_match_the_scalar_reduction():
     assert compute_persistence(complexes[0]).intervals == ()
     assert compute_persistence(complexes[1]).intervals == ((0, 0.0, math.inf),)
     assert top_essential > 10, top_essential
+
+
+def test_builder_facets_are_the_looked_up_facets():
+    # The builder's facets of triangles (column j: the edge without vertex j)
+    # are those `_facet_index` finds by code, on whole clouds and on the kept
+    # components of a batch, in d = 2 and 3 and on dyadic lattices whose edges
+    # and triangles sit exactly at r_max. Other dimensions have none.
+    rng = np.random.default_rng(97)
+    clouds = [rng.random((n, d)) for d in (2, 3) for n in (3, 40, 300)]
+    clouds += [cubic_lattice(d, count) for d in (2, 3) for count in (9, 64)]
+    for points in clouds:
+        n, d = points.shape
+        for r_max in (S / 2.0, S, 0.6 * n ** (-1.0 / d)):
+            one = np.zeros(n, dtype=np.intp)
+            simplices, facets = filtration._component_filtrations(
+                points, *filtration._edge_pairs(points, [n], r_max), one, np.array([True]),
+                r_max, d, np.array([0]))
+            assert facets[:2] == [None, None] and all(f is None for f in facets[3:])
+            assert np.array_equal(facets[2], _facet_index(simplices, simplices[2][0], n))
+    batch = [rng.random((int(m), 2)) for m in rng.integers(10, 60, 12)]
+    batch += [cubic_lattice(2, 30), cubic_lattice(2, 16)]
+    points = np.concatenate(batch)
+    for r in (S / 2.0, 0.08):
+        for k in (1, 2):
+            _, labels, simplices, facets, _ = _component_complexes(
+                points, [len(pts) for pts in batch], r, 1.4 * r, k)
+            assert simplices and len(simplices[2][0])
+            assert np.array_equal(facets[2], _facet_index(simplices, simplices[2][0],
+                                                          len(labels)))
 
 
 def test_a_missing_face_is_refused():

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from cechlab.errors import ConfigurationError
-from cechlab.sampling import (Density, sample_binomial, sample_in_ball,
+from cechlab.sampling import (Density, _sample_stack, sample_binomial, sample_in_ball,
                               sample_poisson, stream)
 
 
@@ -129,3 +129,49 @@ def test_custom_density_without_mass_fails_fast():
     g = Density.custom([(0.0, 1.0)], bound=1.0, evaluator=lambda x: 1.0 if x[0] < 0.01 else 0.0)
     cloud = sample_binomial(30, g, stream(15, 0))
     assert len(cloud) == 30 and cloud.points.max() < 0.01
+
+
+def _per_trial(intensity, density, rngs, anchors=0):
+    """The clouds of `_sample_stack`, one `sample_binomial`/`sample_poisson` call at a time."""
+    clouds = []
+    for rng in rngs:
+        parts = [sample_binomial(anchors, density, rng).points] if anchors else []
+        if intensity is not None:
+            parts.append(sample_poisson(intensity, density, rng).points)
+        clouds.append(np.concatenate(parts) if parts else np.zeros((0, density.dim)))
+    return clouds
+
+
+@pytest.mark.parametrize("density", [
+    Density.uniform_box([(-1.0, 2.0), (0.25, 0.75), (3.0, 3.5)]),
+    Density.unit_cube(2),
+    Density.custom([(0.0, 1.0), (-1.0, 1.0)], bound=2.0,
+                   evaluator=lambda x: 2.0 * float(x[0])),
+], ids=["box", "unit-square", "custom"])
+def test_stacked_draw_is_the_per_trial_draw(density):
+    # The stack of one cloud per generator holds, bit for bit, the clouds that
+    # per-trial calls draw, and leaves every generator where they leave it:
+    # intensity 0 and tiny intensities give zero-count trials that draw nothing,
+    # anchors come before the Poisson count, and the custom density's rejection
+    # loop draws its proposals and acceptances in the same order.
+    cases = [(0.0, 0), (0.3, 0), (7.5, 0), (7.5, 2), (None, 3), (0.0, 1)]
+    for case, (intensity, anchors) in enumerate(cases):
+        # A stream per trial, as experiments draw, and one stream for all, as palm_check does.
+        for make in (lambda: [stream(40, case, t) for t in range(60)],
+                     lambda: [stream(41, case)] * 60):
+            rngs, again = make(), make()
+            points, sizes = _sample_stack(intensity, density, rngs, anchors=anchors)
+            clouds = _per_trial(intensity, density, again, anchors)
+            assert sizes == [len(cloud) for cloud in clouds]
+            assert points.shape == (sum(sizes), density.dim) and points.dtype == np.float64
+            assert points.tobytes() == np.concatenate(clouds).tobytes()
+            assert [rng.random() for rng in dict.fromkeys(rngs)] == \
+                [rng.random() for rng in dict.fromkeys(again)]
+            if intensity == 0.0 and not anchors:
+                assert sizes == [0] * 60
+            if intensity == 0.3:
+                assert 0 in sizes and max(sizes) > 0
+    with pytest.raises(ValueError):
+        _sample_stack(-1.0, density, [stream(1)])
+    with pytest.raises(ConfigurationError):
+        _sample_stack(1.0, "unit square", [stream(1)])
