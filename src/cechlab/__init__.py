@@ -8,7 +8,7 @@ from .filtration import FilteredComplex, build_cech_filtration
 from .geometry import (Ball, GeometricGraph, PointCloud, ball_volume,
                        geometric_graph, miniball)
 from .persistence import (GF2, FieldSpec, PersistenceDiagram, betti, compute_persistence,
-                          persistent_betti, persistent_betti_oracle, persistent_bettis)
+                          persistent_betti, persistent_bettis)
 from .properties import (ContextIndicator, DiagnosticRow, MuEstimate, PalmResult,
                          PropertyDescriptor, SmallGraph, SubsetPropertyDescriptor,
                          comp, component_count, conn, convergence_diagnostic,
@@ -18,8 +18,7 @@ from .properties import (ContextIndicator, DiagnosticRow, MuEstimate, PalmResult
 from .render import render_balls
 from .sampling import Density, sample_binomial, sample_in_ball, sample_poisson, stream
 from .witness import (CycleWitness, MBracket, bracket_m, construct_witness,
-                      perturb_and_verify, perturbation_radius, search_m,
-                      upper_bound_constant)
+                      perturb_and_verify, perturbation_radius, search_m)
 
 __version__ = "0.1.0"
 
@@ -34,11 +33,9 @@ __all__ = [
     "component_count", "compute_persistence", "conn", "construct_witness",
     "convergence_diagnostic", "count_property", "estimate_mu", "fit_exponent",
     "geometric_graph", "iso_graph", "lower_bound_audit", "miniball",
-    "palm_check", "persistent_betti", "persistent_betti_oracle", "persistent_bettis",
-    "perturb_and_verify",
+    "palm_check", "persistent_betti", "persistent_bettis", "perturb_and_verify",
     "perturbation_radius", "predicted_exponent", "render_balls",
     "run_experiment", "sample_binomial", "sample_in_ball", "sample_poisson",
     "search_m", "sep", "spread", "stream", "subset_count", "subset_counts",
-    "trivial_context",
-    "upper_bound_constant", "upsilon", "write_manifest", "zeta",
+    "trivial_context", "upsilon", "write_manifest", "zeta",
 ]

@@ -19,9 +19,8 @@ from .experiment import (ExperimentSpec, audit_csv, fit_csv, lower_bound_audit,
 from .filtration import build_cech_filtration
 from .geometry import PointCloud
 from .persistence import GF2, FieldSpec, compute_persistence, persistent_betti
-from .properties import (PropertyDescriptor, SmallGraph, SubsetPropertyDescriptor,
-                         comp, conn, count_property, estimate_mu, iso_graph,
-                         palm_check, sep, spread, subset_count, trivial_context,
+from .properties import (SmallGraph, SubsetPropertyDescriptor, comp, conn, estimate_mu,
+                         iso_graph, palm_check, sep, spread, subset_count, trivial_context,
                          upsilon, zeta)
 from .render import render_balls
 from .sampling import Density, sample_binomial, sample_poisson, stream
@@ -73,8 +72,8 @@ def _manifest(args: argparse.Namespace, command: str, parameters: dict) -> None:
     write_manifest(_out_dir(args) / f"{command}-manifest.json", command, parameters)
 
 
-def _build_property(args: argparse.Namespace,
-                    ) -> PropertyDescriptor | SubsetPropertyDescriptor:
+def _build_property(args: argparse.Namespace) -> SubsetPropertyDescriptor:
+    """The chosen property in its context: isolation if asked for, else the trivial one."""
     name = args.property
     r = args.r
     field_spec = _field_from(args)
@@ -93,14 +92,13 @@ def _build_property(args: argparse.Namespace,
         descriptor = upsilon(r, args.p, args.theta, args.k, field_spec)
     else:
         raise ConfigurationError(f"unknown property {name!r}")
-    if getattr(args, "isolated", False):
-        if isinstance(descriptor, SubsetPropertyDescriptor):
+    if isinstance(descriptor, SubsetPropertyDescriptor):
+        if args.isolated:
             raise ConfigurationError(f"property {name!r} is already isolated")
-        if name == "zeta":
-            descriptor = sep(args.theta * r) * descriptor
-        else:
-            descriptor = sep(r) * descriptor
-    return descriptor
+        return descriptor
+    if not args.isolated:
+        return trivial_context() * descriptor
+    return sep(args.theta * r if name == "zeta" else r) * descriptor
 
 
 def _add_property_args(parser: argparse.ArgumentParser, default_r: float | None = None) -> None:
@@ -165,11 +163,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     cloud = PointCloud.load(args.cloud)
-    descriptor = _build_property(args)
-    if isinstance(descriptor, SubsetPropertyDescriptor):
-        value = subset_count(descriptor, cloud)
-    else:
-        value = count_property(descriptor, cloud)
+    value = subset_count(_build_property(args), cloud)
     _manifest(args, "count", {"cloud": str(args.cloud), "property": args.property,
                               "r": args.r, "p": args.p, "theta": args.theta,
                               "k": args.k, "graph": args.graph,
@@ -179,9 +173,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_mu(args: argparse.Namespace) -> int:
-    descriptor = _build_property(args)
-    if isinstance(descriptor, SubsetPropertyDescriptor):
-        descriptor = descriptor.base  # the context washes out in the limit
+    descriptor = _build_property(args).base  # the context washes out in the limit
     density = _density_from(args)
     estimate = estimate_mu(descriptor, density, args.samples, stream(args.seed, 0))
     _manifest(args, "mu", {"property": args.property, "p": args.p,
@@ -194,11 +186,8 @@ def _cmd_mu(args: argparse.Namespace) -> int:
 
 
 def _cmd_palm(args: argparse.Namespace) -> int:
-    descriptor = _build_property(args)
-    if isinstance(descriptor, PropertyDescriptor):
-        descriptor = trivial_context() * descriptor
     density = _density_from(args)
-    result = palm_check(descriptor, args.n, density, args.trials,
+    result = palm_check(_build_property(args), args.n, density, args.trials,
                         stream(args.seed, 0), rhs_trials=args.rhs_trials)
     _manifest(args, "palm", {"property": args.property, "r": args.r, "p": args.p,
                              "theta": args.theta, "k": args.k, "graph": args.graph,

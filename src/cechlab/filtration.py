@@ -53,32 +53,6 @@ class FilteredComplex:
             counts[q] = counts.get(q, 0) + 1
         return counts
 
-    def validate(self) -> None:
-        """Check sortedness, face closure and value monotonicity."""
-        index: dict[tuple[int, ...], float] = {}
-        prev_key = None
-        for verts, value in self.simplices:
-            if list(verts) != sorted(verts):
-                raise ValueError(f"simplex {verts} is not sorted")
-            if len(verts) - 1 > self.max_dim:
-                raise ValueError(f"simplex {verts} exceeds max_dim={self.max_dim}")
-            key = (value, len(verts), verts)
-            if prev_key is not None and key < prev_key:
-                raise ValueError(f"simplices out of filtration order near {verts}")
-            prev_key = key
-            if len(verts) == 1 and value != 0.0:
-                raise ValueError(f"vertex {verts} has nonzero value {value}")
-            for omit in range(len(verts)):
-                face = verts[:omit] + verts[omit + 1:]
-                if not face:
-                    continue
-                if face not in index:
-                    raise ValueError(f"face {face} of {verts} is missing")
-                if index[face] > value:
-                    raise ValueError(
-                        f"face {face} (value {index[face]}) enters after {verts} (value {value})")
-            index[verts] = value
-
 
 def _cofaces(pts: np.ndarray, above: Mapping[int, set[int]],
              values: dict[tuple[int, ...], float], frontier: list[tuple[int, ...]],

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -123,11 +123,6 @@ class Ball:
 
     center: tuple[float, ...]
     radius: float
-
-    def contains(self, point: Sequence[float], rel_tol: float = 1e-9) -> bool:
-        d2 = _dist2(self.center, tuple(point))
-        bound = self.radius * (1.0 + rel_tol)
-        return d2 <= bound * bound
 
 
 def _dist2(p: Sequence[float], q: Sequence[float]) -> float:
@@ -291,17 +286,6 @@ class GeometricGraph:
     r: float
     edges: tuple[tuple[int, int], ...]  # i < j, sorted
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Connected-component label of each point, from 0 to component_count() - 1."""
-        return _labels(len(self.cloud), np.array(self.edges, dtype=np.intp).reshape(-1, 2))
-
-    def is_connected(self) -> bool:
-        return self.component_count() <= 1
-
-    def component_count(self) -> int:
-        return int(self.labels.max()) + 1 if len(self.cloud) else 0
-
 
 def _check_scale(r: float) -> None:
     if not (r >= 0.0) or not math.isfinite(r):
@@ -322,6 +306,17 @@ _GROUP_POINTS = 256
 # consecutive clouds as fit, and at least one. So a figure-1 cloud at n = 1e5
 # is a batch of its own, and a criterion-6 chunk of 20-point clouds is one.
 _BATCH_POINTS = 100_000
+
+
+def _batch_sizes(trials: int, per_trial: float) -> Iterator[int]:
+    """Trial counts of consecutive batches of about `_BATCH_POINTS` points, and at least one.
+
+    `per_trial` is the mean number of points a trial's cloud holds; a value
+    the sampler refuses (NaN, negative) is left for it to report.
+    """
+    size = max(1, int(_BATCH_POINTS // per_trial)) if per_trial > 1.0 else _BATCH_POINTS
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
 
 
 def _tree_pairs(points: np.ndarray, r: float) -> np.ndarray:

@@ -47,12 +47,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (_BATCH_POINTS, PointCloud, _labels, _near_pairs, _rows_dist2, _stacked,
+from .geometry import (PointCloud, _batch_sizes, _labels, _near_pairs, _rows_dist2, _stacked,
                        ball_volume)
 from .persistence import FieldSpec, GF2, _persistent_bettis
 from .sampling import Density, _sample_stack, sample_binomial, sample_in_ball
@@ -526,14 +526,16 @@ def _subset_counts(h: SubsetPropertyDescriptor, points: np.ndarray, sizes: Seque
 def component_count(gamma: SmallGraph, cloud: PointCloud, r: float) -> int:
     """Connected components of the geometric graph at scale r isomorphic to gamma.
 
-    Counted as isolated subsets (no outside point within 2r) whose own
-    graph matches the template.
+    The graph's edges have length <= r, so a component is a subset isolated
+    at r / 2 (no outside point within 2 * (r / 2), which is r exactly) whose
+    own graph is connected: counted as such subsets whose graph matches the
+    connected template.
     """
     if gamma.n < 2:
         raise ValueError("component templates need at least two vertices")
     if not gamma.is_connected():
         raise ValueError("component templates must be connected")
-    return subset_count(sep(r) * iso_graph(gamma, r, gamma.n), cloud)
+    return subset_count(sep(r / 2) * iso_graph(gamma, r, gamma.n), cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +582,6 @@ def estimate_mu(g: PropertyDescriptor, f: Density, samples: int,
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MuEstimate(mean, se)
-
-
-def _batch_sizes(trials: int, per_trial: float) -> Iterator[int]:
-    """Trial counts of consecutive batches of about `_BATCH_POINTS` points, and at least one.
-
-    `per_trial` is the mean number of points a trial's cloud holds; a value
-    the sampler refuses (NaN, negative) is left for it to report.
-    """
-    size = max(1, int(_BATCH_POINTS // per_trial)) if per_trial > 1.0 else _BATCH_POINTS
-    for start in range(0, trials, size):
-        yield min(size, trials - start)
 
 
 def _poisson_counts(h: SubsetPropertyDescriptor, n: float, f: Density, trials: int,
@@ -644,10 +635,14 @@ def palm_check(h: SubsetPropertyDescriptor, n: float, f: Density, trials: int,
     Monte Carlo and compared at three standard errors. The clouds are drawn
     one trial after another, in the order of a per-trial loop
     (`sampling._sample_stack`), and each side is evaluated in batches of
-    about `_BATCH_POINTS` points.
+    about `geometry._BATCH_POINTS` points. Each side needs two trials or more
+    for its standard error.
     """
     if trials < 2:
         raise ValueError(f"need at least two trials, got {trials}")
+    rhs_trials = trials if rhs_trials is None else rhs_trials
+    if rhs_trials < 2:
+        raise ValueError(f"need at least two right-hand trials, got {rhs_trials}")
     p = h.arity
     lhs_vals = _poisson_counts(h, n, f, trials, rng)
     lhs = float(lhs_vals.mean())
@@ -655,7 +650,6 @@ def palm_check(h: SubsetPropertyDescriptor, n: float, f: Density, trials: int,
 
     # Each right-hand trial draws X_p, then, unless every subset is in context, P_n.
     ambient = None if h.context.trivial else n
-    rhs_trials = trials if rhs_trials is None else rhs_trials
     factor = n ** p / math.factorial(p)
     rhs_vals = np.concatenate([
         _anchor_holds(h, *_sample_stack(ambient, f, repeat(rng, size), anchors=p))

@@ -4,9 +4,9 @@ All randomness flows through numpy's Philox generator, a counter-based
 bit generator that supports cheap stream splitting: `stream(seed, i, t)`
 yields an independent generator for, say, grid index i and trial t, so
 trials can run in any order (or in parallel) and still reproduce.
-Batched callers draw the clouds of many trials as one stack of points
-(`_sample_stack`), with the same draws from each stream as one
-`sample_poisson` call per trial.
+Every draw goes through `_sample_stack`, which draws the clouds of many
+trials as one stack of points, each from its own generator;
+`sample_binomial` and `sample_poisson` return its single cloud.
 """
 from __future__ import annotations
 
@@ -106,9 +106,6 @@ class Density:
         highs = np.array([hi for _, hi in self.box])
         return lows + units * (highs - lows)
 
-    def _uniform_in_box(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self._onto_box(rng.random((count, self.dim)))
-
 
 def sample_binomial(n: int, density: Density, rng: np.random.Generator) -> PointCloud:
     """n i.i.d. points from the density."""
@@ -116,11 +113,8 @@ def sample_binomial(n: int, density: Density, rng: np.random.Generator) -> Point
     n = int(n)
     if n < 0:
         raise ValueError(f"sample size must be nonnegative, got {n}")
-    if n == 0:
-        return PointCloud(density.dim, np.zeros((0, density.dim)))
-    if density.kind == "uniform-box":
-        return PointCloud(density.dim, density._uniform_in_box(n, rng))
-    return PointCloud(density.dim, _rejected(n, density, rng))
+    points, _ = _sample_stack(None, density, [rng], anchors=n)
+    return PointCloud(density.dim, points)
 
 
 def _check_density(density: Density) -> None:
@@ -141,7 +135,7 @@ def _rejected(n: int, density: Density, rng: np.random.Generator) -> np.ndarray:
                 f"density accepted {len(rows)} of {proposed} proposals (rate "
                 f"{len(rows) / proposed:.3g}), none in the last {barren * _REJECTION_BATCH}; "
                 f"it has too little mass on its box {density.box} for bound {density.bound}")
-        proposals = density._uniform_in_box(_REJECTION_BATCH, rng)
+        proposals = density._onto_box(rng.random((_REJECTION_BATCH, density.dim)))
         accepts = rng.random(_REJECTION_BATCH) * density.bound
         before = len(rows)
         for point, u in zip(proposals, accepts):
@@ -166,22 +160,22 @@ def sample_poisson(intensity: float, density: Density, rng: np.random.Generator)
     disjoint regions receive independent Poisson-distributed counts.
     """
     _check_intensity(intensity)
-    count = int(rng.poisson(intensity))
-    return sample_binomial(count, density, rng)
+    points, _ = _sample_stack(intensity, density, [rng])
+    return PointCloud(density.dim, points)
 
 
 def _sample_stack(intensity: float | None, density: Density, rngs: Iterable[np.random.Generator],
                   anchors: int = 0) -> tuple[np.ndarray, list[int]]:
     """One cloud per generator, stacked one after another, and each one's size.
 
-    Each generator draws, in turn, `anchors` points as `sample_binomial(anchors,
-    density, rng)` does and then, unless `intensity` is None, a cloud as
-    `sample_poisson(intensity, density, rng)` does; a cloud is its anchors
-    followed by its Poisson points. The draws are those calls' own, in their
-    order, so the points are theirs bit for bit and each generator is left
-    where they leave it; no `PointCloud` is made. A uniform box maps all the
-    unit draws onto the box in one `Density._onto_box` pass, the arithmetic
-    of each call's own; a custom density takes its rejection path per cloud.
+    Each generator draws, in turn, `anchors` i.i.d. points and then, unless
+    `intensity` is None, a Poisson count of mean `intensity` and that many
+    points; a cloud is its anchors followed by its Poisson points. A uniform
+    box draws its points as `rng.random((count, d))` and maps all the unit
+    draws of the batch onto the box in one `Density._onto_box` pass, which is
+    elementwise, so a cloud's points do not depend on its batch; a custom
+    density takes its rejection path (`_rejected`) per cloud. No
+    `PointCloud` is made.
     """
     _check_density(density)
     if intensity is not None:

@@ -5,8 +5,12 @@ at least one: a degree-k cycle alive from radius r out to theta*r. The
 deterministic construction places Q on the boundary of a regular
 (k+1)-simplex, subdivided until the mesh is fine enough that the union
 of r-balls covers the boundary while theta*r-balls still miss the
-circumcenter. The randomized search estimates the minimal number of
-points that can support such a cycle by brute sampling.
+circumcenter. `perturb_and_verify` moves every point of a witness by a
+random draw and ranks the perturbed copies, all of the witness's size,
+in batches through the package's one rank pass
+(`persistence._persistent_bettis`). The randomized search estimates the
+minimal number of points that can support such a cycle by brute
+sampling.
 
 The search scores configurations by their best degree-k death/birth
 ratio. For k = 1, triangles have a vectorised closed form
@@ -36,15 +40,14 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from pathlib import Path
-from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (_BATCH_POINTS, PointCloud, _format_cloud, _parse_cloud, _rows_dist2,
+from .geometry import (PointCloud, _batch_sizes, _format_cloud, _parse_cloud, _rows_dist2,
                        _triangle_radii)
 from .filtration import _component_filtrations
-from .persistence import FieldSpec, GF2, _diagram, persistent_betti, persistent_bettis
+from .persistence import FieldSpec, GF2, _diagram, _persistent_bettis, persistent_betti
 from .sampling import sample_in_ball
 
 __all__ = [
@@ -55,7 +58,6 @@ __all__ = [
     "perturb_and_verify",
     "search_m",
     "bracket_m",
-    "upper_bound_constant",
 ]
 
 
@@ -235,23 +237,6 @@ def perturbation_radius(R: float, r: float, theta: float) -> float:
     return (R - theta * r) / (theta + 1.0)
 
 
-def _drawn(draw: Callable[[], PointCloud], trials: int) -> Iterator[list[PointCloud]]:
-    """`trials` clouds from `draw`, drawn in order, in batches of at most `_BATCH_POINTS` points.
-
-    A cloud larger than that is a batch of its own.
-    """
-    batch, held = [], 0
-    for _ in range(trials):
-        cloud = draw()
-        if batch and held + len(cloud) > _BATCH_POINTS:
-            yield batch
-            batch, held = [], 0
-        batch.append(cloud)
-        held += len(cloud)
-    if batch:
-        yield batch
-
-
 def perturb_and_verify(witness: CycleWitness, rng: np.random.Generator, trials: int,
                        delta_scale: float = 1.0, field_spec: FieldSpec = GF2) -> float:
     """Fraction of uniformly perturbed copies that keep their persistent cycle.
@@ -259,8 +244,9 @@ def perturb_and_verify(witness: CycleWitness, rng: np.random.Generator, trials: 
     Each point moves by an independent uniform draw from the open ball
     of radius delta (times delta_scale, for negative controls); the
     perturbed cloud is tested at radius r + delta with the same theta. The
-    copies are drawn one trial after another and ranked in batches of at
-    most `_BATCH_POINTS` points, one `persistent_bettis` call per batch.
+    copies are drawn one trial after another and ranked in batches of about
+    `geometry._BATCH_POINTS` points (`_batch_sizes`; every copy has the
+    witness's n points), one rank pass per batch.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -272,8 +258,10 @@ def perturb_and_verify(witness: CycleWitness, rng: np.random.Generator, trials: 
     points = witness.points.points
     n, d = points.shape
     successes = 0
-    for batch in _drawn(lambda: PointCloud(d, points + sample_in_ball(n, d, move, rng)), trials):
-        ranks = persistent_bettis(batch, witness.r + delta, witness.theta, witness.k, field_spec)
+    for size in _batch_sizes(trials, n):
+        copies = np.concatenate([points + sample_in_ball(n, d, move, rng) for _ in range(size)])
+        ranks = _persistent_bettis(copies, [n] * size, witness.r + delta, witness.theta,
+                                   witness.k, field_spec)
         successes += int((ranks >= 1).sum())
     return successes / trials
 
@@ -635,15 +623,3 @@ def bracket_m(d: int, k: int, theta: float, trials_per_arity: int,
                             trials_per_arity=trials_per_arity, witness=witness)
     return None
 
-
-def upper_bound_constant(p: int, k: int, m: int) -> int:
-    """Combinatorial bound sum_i C(p, m+i) * C(m+i, k+1) for i = 0..p-m.
-
-    Bounds the expected-count constant for arity-p persistent cycles;
-    zero when p < m since no cycle fits on fewer than m points.
-    """
-    if p < 1 or k < 0 or m < 1:
-        raise ValueError(f"invalid parameters p={p}, k={k}, m={m}")
-    if p < m:
-        return 0
-    return sum(math.comb(p, m + i) * math.comb(m + i, k + 1) for i in range(p - m + 1))

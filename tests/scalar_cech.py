@@ -12,6 +12,8 @@ The package reads every persistence pair off `persistence._pivot_rows`.
 `scalar_persistence` shares none of its code: it reduces the whole
 complex's boundary matrix column by column over F_p, rows and columns
 numbered by position in the filtration, with its own loop.
+
+`validate` checks a `FilteredComplex`'s order, face closure and values.
 """
 
 from __future__ import annotations
@@ -109,6 +111,33 @@ def scalar_persistence(complex_: FilteredComplex,
     intervals += [(len(verts) - 1, value, math.inf) for i, (verts, value) in enumerate(simplices)
                   if i not in pairs and i not in deaths]
     return PersistenceDiagram(tuple(sorted(intervals)), field_spec)
+
+
+def validate(complex_: FilteredComplex) -> None:
+    """Check a complex's sortedness, face closure and value monotonicity."""
+    index: dict[tuple[int, ...], float] = {}
+    prev_key = None
+    for verts, value in complex_.simplices:
+        if list(verts) != sorted(verts):
+            raise ValueError(f"simplex {verts} is not sorted")
+        if len(verts) - 1 > complex_.max_dim:
+            raise ValueError(f"simplex {verts} exceeds max_dim={complex_.max_dim}")
+        key = (value, len(verts), verts)
+        if prev_key is not None and key < prev_key:
+            raise ValueError(f"simplices out of filtration order near {verts}")
+        prev_key = key
+        if len(verts) == 1 and value != 0.0:
+            raise ValueError(f"vertex {verts} has nonzero value {value}")
+        for omit in range(len(verts)):
+            face = verts[:omit] + verts[omit + 1:]
+            if not face:
+                continue
+            if face not in index:
+                raise ValueError(f"face {face} of {verts} is missing")
+            if index[face] > value:
+                raise ValueError(
+                    f"face {face} (value {index[face]}) enters after {verts} (value {value})")
+        index[verts] = value
 
 
 def _reduce_bits(col: int, reduced: dict[int, int]) -> int | None:

@@ -16,13 +16,13 @@ import numpy as np
 from cechlab.experiment import ExperimentSpec, lower_bound_audit, run_experiment
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
-from cechlab.persistence import (betti, compute_persistence, persistent_betti,
-                                 persistent_betti_oracle)
+from cechlab.persistence import betti, compute_persistence, persistent_betti
 from cechlab.properties import (SmallGraph, convergence_diagnostic,
                                 estimate_mu, iso_graph, palm_check,
                                 PropertyDescriptor, sep, trivial_context)
 from cechlab.sampling import Density, stream
 from cechlab.witness import construct_witness, perturb_and_verify, search_m
+from dense_oracle import persistent_betti_oracle
 
 _UNIT_SQUARE = Density.uniform_box([(0.0, 1.0), (0.0, 1.0)])
 _ELAPSED: dict[str, float] = {}

@@ -653,6 +653,12 @@ def test_cli_mu_and_palm(tmp_path, capsys):
                      "--n", "30", "--trials", "400", "--rhs-trials", "4000",
                      "--seed", "13", "--box=0,1;0,1",
                      "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for rhs_trials in ("1", "0"):
+        assert cli.main(["palm", "--property", "conn", "--r", "0.15", "--p", "2",
+                         "--n", "30", "--trials", "40", "--rhs-trials", rhs_trials,
+                         "--out-dir", str(tmp_path)]) == 1
+        assert "right-hand trials" in capsys.readouterr().err
 
 
 def test_cli_figure1_writes_frames_and_results(tmp_path):

@@ -1,6 +1,6 @@
 """The package's public names: one list, no duplicates, every module's names exported.
 
-And each module imports only names it uses.
+And each module imports only names it uses, and the program uses every public name.
 """
 
 from __future__ import annotations
@@ -56,3 +56,67 @@ def test_modules_import_only_what_they_use():
         assert imported <= used, (source.name, sorted(imported - used))
         checked += 1
     assert checked >= 9, checked
+
+
+# Research entry points that the program itself never calls: the tests (and
+# library users) call them to count, check and diagnose.
+_ENTRY_POINTS = {
+    "betti",  # persistent_betti at theta = 1
+    "component_count",  # components of the geometric graph, by template
+    "convergence_diagnostic",  # count means against their scaling law
+    "count_property",  # p-subset counts in the trivial context
+    "perturb_and_verify",  # stability of a witness under perturbation
+    "Density.custom",  # densities other than a uniform box
+    "PointCloud.from_points",  # clouds written out by hand
+}
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Top-level functions and classes by name, and the public methods of classes as Class.method."""
+    found: dict[str, ast.AST] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+def _referenced(tree: ast.AST, skip: ast.AST | None) -> set[str]:
+    """Names of the Name and Attribute nodes of a tree, outside the subtree `skip`."""
+    names: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_program_uses_every_public_name():
+    # Every exported name, and every public method of an exported class, is
+    # referenced in the package outside its own definition or in the benchmark;
+    # strings in __all__ and imports do not count. The entry points are exactly
+    # the names left over, so the list cannot go stale.
+    package = Path(cechlab.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sources + sorted((package.parents[1] / "bench").glob("*.py"))]
+    definitions: dict[str, ast.AST] = {}
+    for tree in trees[:len(sources)]:
+        definitions.update(_public_definitions(tree))
+    unused = set()
+    for name in cechlab.__all__:
+        for target in [name] + [key for key in definitions if key.startswith(name + ".")]:
+            attr = target.rpartition(".")[2]
+            if not any(attr in _referenced(tree, definitions.get(target)) for tree in trees):
+                unused.add(target)
+    assert unused == _ENTRY_POINTS, (sorted(unused - _ENTRY_POINTS),
+                                     sorted(_ENTRY_POINTS - unused))

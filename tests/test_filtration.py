@@ -11,7 +11,7 @@ import pytest
 from cechlab.errors import ConfigurationError
 from cechlab.geometry import PointCloud, miniball
 from cechlab.filtration import FilteredComplex, _build, build_cech_filtration
-from scalar_cech import scalar_build
+from scalar_cech import scalar_build, validate
 
 
 def _brute_force_simplices(cloud: PointCloud, r_max: float, max_dim: int):
@@ -83,7 +83,7 @@ def test_validate_accepts_random_builds():
     for _ in range(10):
         cloud = PointCloud(2, rng.random((12, 2)))
         complex_ = build_cech_filtration(cloud, 0.5, 2)
-        complex_.validate()
+        validate(complex_)
 
 
 def test_simplices_sorted_by_value_then_dimension():
@@ -177,12 +177,12 @@ def test_dense_cloud_fails_fast():
 def test_validate_rejects_broken_complexes():
     good = FilteredComplex(vertex_count=2, max_dim=1,
                            simplices=(((0,), 0.0), ((1,), 0.0), ((0, 1), 0.5)))
-    good.validate()
+    validate(good)
     missing_face = FilteredComplex(vertex_count=2, max_dim=1,
                                    simplices=(((0,), 0.0), ((0, 1), 0.5)))
     with pytest.raises(ValueError):
-        missing_face.validate()
+        validate(missing_face)
     bad_order = FilteredComplex(vertex_count=2, max_dim=1,
                                 simplices=(((0,), 0.0), ((1,), 0.0), ((0, 1), -1.0)))
     with pytest.raises(ValueError):
-        bad_order.validate()
+        validate(bad_order)

@@ -1,4 +1,4 @@
-"""Persistence reduction, Betti queries, and the small-instance oracle."""
+"""Persistence reduction and Betti queries, checked against the dense oracle of `dense_oracle`."""
 
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ from cechlab.filtration import FilteredComplex, build_cech_filtration
 from cechlab.geometry import PointCloud, _dist2, miniball
 from cechlab.persistence import (GF2, FieldSpec, PersistenceDiagram, _component_complexes,
                                  _facet_index, betti, compute_persistence, persistent_betti,
-                                 persistent_betti_oracle, persistent_bettis)
+                                 persistent_bettis)
 from cechlab.sampling import Density, sample_poisson, stream
 from mixed_batches import S, cubic_lattice
-from scalar_cech import scalar_build, scalar_persistence
+from dense_oracle import persistent_betti_oracle
+from scalar_cech import scalar_build, scalar_persistence, validate
 
 
 def _unit_equilateral() -> PointCloud:
@@ -568,7 +569,7 @@ def test_a_missing_face_is_refused():
             vertex_count=4, max_dim=3,
             simplices=tuple(sv for sv in tetrahedron.simplices if sv[0] != face))
         with pytest.raises(ValueError, match="missing"):
-            missing.validate()
+            validate(missing)
         for p in (2, 3):
             with pytest.raises(ValueError, match="missing"):
                 compute_persistence(missing, FieldSpec(p))

@@ -9,9 +9,9 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from cechlab import properties
+from cechlab import geometry, properties
 from cechlab.errors import ConfigurationError
-from cechlab.geometry import PointCloud, _close_pairs, ball_volume, geometric_graph
+from cechlab.geometry import PointCloud, _close_pairs, _labels, ball_volume, geometric_graph
 from cechlab.persistence import persistent_betti, persistent_bettis
 from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
                                 _three_sigma_overlap, _unions,
@@ -319,6 +319,44 @@ def test_component_count_matches_template():
         component_count(SmallGraph.complete(1), cloud, 0.2)
     with pytest.raises(ValueError):
         component_count(SmallGraph.from_edges(4, [(0, 1), (2, 3)]), cloud, 0.2)
+
+
+def _component_census(gamma: SmallGraph, cloud: PointCloud, r: float) -> int:
+    """Components of `geometric_graph(cloud, r)` isomorphic to gamma, by labels and permutations."""
+    edges = np.array(geometric_graph(cloud, r).edges, dtype=np.intp).reshape(-1, 2)
+    labels = _labels(len(cloud), edges)
+    count = 0
+    for label in range(int(labels.max()) + 1 if len(cloud) else 0):
+        members = np.flatnonzero(labels == label)
+        if len(members) != gamma.n:
+            continue
+        local = {int(v): i for i, v in enumerate(members)}
+        inner = frozenset((local[i], local[j]) for i, j in edges.tolist() if i in local)
+        count += inner in _images(gamma)
+    return count
+
+
+def test_component_count_is_a_census_of_the_graph_at_r():
+    # The graph at r has edges of length <= r, so an outside point at distance
+    # exactly r joins a component and one just beyond it does not, while an
+    # outside point between r and 2r leaves the component as it is.
+    pair, k2, p3 = [(0.0, 0.0), (0.5, 0.0)], SmallGraph.complete(2), SmallGraph.path(3)
+    for third, counts in [((1.0, 0.0), (0, 1)), ((1.0 + 2.0 ** -40, 0.0), (1, 0)),
+                          ((1.25, 0.0), (1, 0))]:
+        cloud = PointCloud.from_points(pair + [third])
+        assert (component_count(k2, cloud, 0.5), component_count(p3, cloud, 0.5)) == counts
+        assert counts == (_component_census(k2, cloud, 0.5), _component_census(p3, cloud, 0.5))
+    f = Density.unit_cube(2)
+    templates = [SmallGraph.complete(2), SmallGraph.complete(3), SmallGraph.path(3),
+                 SmallGraph.path(4), SmallGraph.cycle(4)]
+    seen = 0
+    for t in range(40):
+        cloud = sample_poisson(60.0, f, stream(3, t))
+        for gamma in templates:
+            expected = _component_census(gamma, cloud, 0.08)
+            assert component_count(gamma, cloud, 0.08) == expected, (t, gamma)
+            seen += expected
+    assert seen > 40
 
 
 def test_zeta_matches_known_cycle_lifetimes():
@@ -735,7 +773,7 @@ def test_oversized_union_frontier_fails_fast(monkeypatch):
 def test_palm_and_diagnostic_batches_are_the_per_trial_loop(monkeypatch):
     # Clouds are drawn in the per-trial order and counted in batches; a small
     # batch bound makes several batches.
-    monkeypatch.setattr(properties, "_BATCH_POINTS", 40)
+    monkeypatch.setattr(geometry, "_BATCH_POINTS", 40)
     f = Density.unit_cube(2)
     for h in (comp(0.08, 2), trivial_context() * conn(0.08, 2),
               sep(0.05) * iso_graph(SmallGraph.complete(2), 0.1, 2)):
@@ -889,6 +927,13 @@ def test_palm_check_validation():
     f = Density.uniform_box([(0.0, 1.0), (0.0, 1.0)])
     with pytest.raises(ValueError):
         palm_check(comp(0.1, 2), 10.0, f, 1, stream(1))
+    # Each side's standard error needs two trials: one or none is refused before any draw.
+    for rhs_trials in (1, 0, -3):
+        rng = stream(2)
+        with pytest.raises(ValueError, match="right-hand trials"):
+            palm_check(comp(0.1, 2), 10.0, f, 20, rng, rhs_trials=rhs_trials)
+        assert rng.random() == stream(2).random()
+    assert palm_check(comp(0.1, 2), 10.0, f, 20, stream(2), rhs_trials=2).rhs_se >= 0.0
 
 
 def test_convergence_diagnostic_structure_and_guards():

@@ -131,14 +131,31 @@ def test_custom_density_without_mass_fails_fast():
     assert len(cloud) == 30 and cloud.points.max() < 0.01
 
 
+def _raw_points(count, density, rng):
+    """`count` points of the density drawn with numpy alone: uniform on the box, or by rejection."""
+    lows, highs = np.array(density.box).T
+    if density.kind == "uniform-box":
+        return lows + rng.random((count, density.dim)) * (highs - lows)
+    rows = []
+    while len(rows) < count:
+        proposals = lows + rng.random((1024, density.dim)) * (highs - lows)
+        accepts = rng.random(1024) * density.bound
+        for point, u in zip(proposals, accepts):
+            if u <= density.evaluator(point):
+                rows.append(point)
+                if len(rows) == count:
+                    break
+    return np.array(rows).reshape(count, density.dim)
+
+
 def _per_trial(intensity, density, rngs, anchors=0):
-    """The clouds of `_sample_stack`, one `sample_binomial`/`sample_poisson` call at a time."""
+    """The clouds `_sample_stack` draws, one generator at a time, with no cechlab sampling code."""
     clouds = []
     for rng in rngs:
-        parts = [sample_binomial(anchors, density, rng).points] if anchors else []
+        parts = [_raw_points(anchors, density, rng)]
         if intensity is not None:
-            parts.append(sample_poisson(intensity, density, rng).points)
-        clouds.append(np.concatenate(parts) if parts else np.zeros((0, density.dim)))
+            parts.append(_raw_points(int(rng.poisson(intensity)), density, rng))
+        clouds.append(np.concatenate(parts))
     return clouds
 
 
@@ -150,10 +167,11 @@ def _per_trial(intensity, density, rngs, anchors=0):
 ], ids=["box", "unit-square", "custom"])
 def test_stacked_draw_is_the_per_trial_draw(density):
     # The stack of one cloud per generator holds, bit for bit, the clouds that
-    # per-trial calls draw, and leaves every generator where they leave it:
-    # intensity 0 and tiny intensities give zero-count trials that draw nothing,
-    # anchors come before the Poisson count, and the custom density's rejection
-    # loop draws its proposals and acceptances in the same order.
+    # plain numpy draws one generator at a time, and leaves every generator
+    # where they leave it: intensity 0 and tiny intensities give zero-count
+    # trials that draw nothing, anchors come before the Poisson count, and the
+    # custom density's rejection loop draws its proposals and acceptances in
+    # the same order.
     cases = [(0.0, 0), (0.3, 0), (7.5, 0), (7.5, 2), (None, 3), (0.0, 1)]
     for case, (intensity, anchors) in enumerate(cases):
         # A stream per trial, as experiments draw, and one stream for all, as palm_check does.
@@ -165,6 +183,15 @@ def test_stacked_draw_is_the_per_trial_draw(density):
             assert sizes == [len(cloud) for cloud in clouds]
             assert points.shape == (sum(sizes), density.dim) and points.dtype == np.float64
             assert points.tobytes() == np.concatenate(clouds).tobytes()
+            assert [rng.random() for rng in dict.fromkeys(rngs)] == \
+                [rng.random() for rng in dict.fromkeys(again)]
+            # A sample_binomial call for the anchors and a sample_poisson call draw the same.
+            rngs, again = make(), make()
+            for rng, cloud in zip(rngs, _per_trial(intensity, density, again, anchors)):
+                parts = [sample_binomial(anchors, density, rng).points]
+                if intensity is not None:
+                    parts.append(sample_poisson(intensity, density, rng).points)
+                assert np.concatenate(parts).tobytes() == cloud.tobytes()
             assert [rng.random() for rng in dict.fromkeys(rngs)] == \
                 [rng.random() for rng in dict.fromkeys(again)]
             if intensity == 0.0 and not anchors:

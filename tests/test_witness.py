@@ -14,18 +14,18 @@ import numpy as np
 import pytest
 
 import cechlab
+from cechlab import geometry
 from cechlab.errors import ConfigurationError
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
 from cechlab.persistence import GF2, compute_persistence, persistent_betti
-from cechlab.sampling import stream
+from cechlab.sampling import sample_in_ball, stream
 from cechlab.witness import (CycleWitness, MBracket, _batch_ratios,
                              _config_ratio, _highest_bit,
                              _nelder_mead, _triangle_persistence_ratios,
                              _witness_from_config, bracket_m,
                              construct_witness, perturb_and_verify,
-                             perturbation_radius, search_m,
-                             upper_bound_constant)
+                             perturbation_radius, search_m)
 
 
 def test_construct_witness_geometry_is_exact():
@@ -108,6 +108,27 @@ def test_perturb_and_verify_within_the_safe_radius():
 def test_perturb_and_verify_negative_control():
     witness = construct_witness(1, 1.5)
     assert perturb_and_verify(witness, stream(23), 25, delta_scale=30.0) < 1.0
+
+
+def test_perturb_and_verify_is_the_per_trial_loop(monkeypatch):
+    # The copies are drawn one after another and ranked in batches; a small
+    # batch bound makes several batches, and a large delta_scale makes some
+    # copies lose their cycle.
+    witness = construct_witness(1, 1.5)
+    n, d = witness.points.points.shape
+    monkeypatch.setattr(geometry, "_BATCH_POINTS", 7 * n)
+    delta = perturbation_radius(witness.R, witness.r, witness.theta)
+    for scale in (1.0, 12.0):
+        rng = stream(29)
+        fraction = perturb_and_verify(witness, rng, 30, delta_scale=scale)
+        again = stream(29)
+        kept = [persistent_betti(PointCloud(d, witness.points.points
+                                            + sample_in_ball(n, d, delta * scale, again)),
+                                 witness.r + delta, witness.theta, witness.k) >= 1
+                for _ in range(30)]
+        assert fraction == sum(kept) / 30
+        assert rng.random() == again.random()
+    assert 0 < sum(kept) < 30
 
 
 def test_perturb_and_verify_zero_trials_warns():
@@ -502,15 +523,3 @@ def test_three_point_search_returns_the_vectorised_witness():
                                                              replay.verified_rank)
     assert witness.r == 0.5083865811071288
 
-
-def test_upper_bound_constant_values():
-    assert upper_bound_constant(3, 1, 3) == 3
-    assert upper_bound_constant(4, 1, 4) == 6
-    assert upper_bound_constant(2, 1, 3) == 0
-    assert upper_bound_constant(4, 1, 3) == 18
-    with pytest.raises(ValueError):
-        upper_bound_constant(0, 1, 3)
-    with pytest.raises(ValueError):
-        upper_bound_constant(3, -1, 3)
-    with pytest.raises(ValueError):
-        upper_bound_constant(3, 1, 0)
