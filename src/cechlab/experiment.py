@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 
 from .errors import AuditError, ConfigurationError
-from .geometry import _BATCH_POINTS, PointCloud, _near_pairs
+from .geometry import PointCloud, _batch_sizes, _near_pairs
 from .persistence import GF2, FieldSpec, _persistent_bettis
 from .properties import _reach, _subset_counts, upsilon
 from .sampling import Density, _sample_stack, stream
@@ -172,17 +172,18 @@ def predicted_exponent(d: int, q: float, m: int) -> float:
     return 1.0 + (q * d + 1.0) * (m - 1)
 
 
-def _run_chunk(task: Callable[[range], list[T]], chunk: range, size: int) -> list[T] | int:
+def _run_chunk(task: Callable[[range], list[T]], chunk: range,
+               intensity: float) -> list[T] | int:
     """The chunk's values in order, or the first trial of it whose task raises.
 
-    The chunk goes to `task` as consecutive batches of `size` trials. A
-    batch that raises is run again one trial at a time, so the trial found
-    is the serial loop's, and a batch that raised only as a whole gives the
-    values of its trials run alone.
+    The chunk goes to `task` as consecutive batches of `geometry._batch_sizes`
+    for clouds of the given intensity. A batch that raises is run again one
+    trial at a time, so the trial found is the serial loop's, and a batch
+    that raised only as a whole gives the values of its trials run alone.
     """
     values: list[T] = []
-    for start in range(chunk.start, chunk.stop, size):
-        batch = range(start, min(start + size, chunk.stop))
+    for size in _batch_sizes(len(chunk), intensity):
+        batch, chunk = chunk[:size], chunk[size:]
         try:
             values += task(batch)
             continue
@@ -206,9 +207,9 @@ def _map_trials(task: Callable[[range], list[T]], trials: range, intensity: floa
     chunk itself; a forked child runs each other one and pickles its values
     back through a pipe. While other threads run, w is 1: a fork copies only
     the calling thread, so a lock another thread holds would stay held in
-    the child. Each chunk goes to `task` in batches of up to
-    `_BATCH_POINTS / intensity` trials (`_run_chunk`). Each trial draws from
-    its own stream, so the values are the serial loop's.
+    the child. Each chunk goes to `task` in the batches of
+    `geometry._batch_sizes` (`_run_chunk`). Each trial draws from its own
+    stream, so the values are the serial loop's.
 
     The first trial whose task raises, in the caller's chunk or a child's,
     is run again alone by the caller, so the exception raised is the serial
@@ -216,11 +217,10 @@ def _map_trials(task: Callable[[range], list[T]], trials: range, intensity: floa
     Children end in `os._exit` and are reaped before this returns or raises;
     on an exception they are killed first.
     """
-    size = max(1, int(_BATCH_POINTS // intensity))
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     w = 1 if threading.active_count() > 1 else min(cores, len(trials))
     if w <= 1:
-        return _raise_or_values(task, _run_chunk(task, trials, size), "")
+        return _raise_or_values(task, _run_chunk(task, trials, intensity), "")
     chunks = [trials[j * len(trials) // w:(j + 1) * len(trials) // w] for j in range(w)]
     children = []  # (pid, read end of its pipe, its chunk)
     try:
@@ -231,12 +231,12 @@ def _map_trials(task: Callable[[range], list[T]], trials: range, intensity: floa
                 try:
                     os.close(read)
                     with os.fdopen(write, "wb") as out:
-                        pickle.dump(_run_chunk(task, chunk, size), out)
+                        pickle.dump(_run_chunk(task, chunk, intensity), out)
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb"), chunk))
-        values = _raise_or_values(task, _run_chunk(task, chunks[0], size), "")
+        values = _raise_or_values(task, _run_chunk(task, chunks[0], intensity), "")
         for pid, pipe, chunk in children:
             try:
                 result = pickle.load(pipe)

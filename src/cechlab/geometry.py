@@ -30,6 +30,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .errors import ConfigurationError
+
 __all__ = [
     "PointCloud",
     "Ball",
@@ -197,8 +199,8 @@ def miniball(points: Iterable[Sequence[float]] | PointCloud | np.ndarray) -> Bal
         c, r = _circumball(pts)
         return Ball(c, r)
     if len(pts) == 3:
-        # Hot path in filtration building: try each pair's diametral ball,
-        # fall back to the circumball of all three.
+        # The reference of `_triangle_radii`, its batched twin: try each
+        # pair's diametral ball, fall back to the circumball of all three.
         best = None
         for a, b in ((0, 1), (0, 2), (1, 2)):
             c, r = _circumball([pts[a], pts[b]])
@@ -416,6 +418,72 @@ def _labels(n: int, pairs: np.ndarray) -> np.ndarray:
         halved = root[root]
         while not np.array_equal(halved, root):
             root, halved = halved, halved[halved]
+
+
+# Candidate cliques one level of `_next_cliques` may make for one cloud; it
+# also holds at most this many at once, at least 40 bytes each of index arrays.
+# Figure-1 clouds at n = 1e5 need under 6,000 candidate triangles and
+# `construct_witness(1, 10.0)` about 440,000; the k = 2 witness at theta = 1,
+# one 2594-point component, would need 5.3e8.
+_MAX_CANDIDATES = 5_000_000
+
+
+def _next_cliques(rows: np.ndarray, faces: np.ndarray, pairs: np.ndarray, cloud: np.ndarray,
+                  named: str) -> tuple[np.ndarray, np.ndarray]:
+    """The cliques one node larger than the cliques `rows`, with their faces among them.
+
+    The graph's nodes are numbered as `cloud`, the cloud of each node, and
+    its edges are `pairs`, rows a < b in lexicographic order. `rows` holds
+    the cliques of one level, c ascending nodes each, in lexicographic
+    order, and `faces` in column j the index of each one's face without
+    node j among the level below: a pair's faces are its nodes, reversed,
+    and a single node's face is 0. Each clique is extended by each higher
+    neighbour of its last node whose other faces are all in `rows`, found
+    by binary search on codes: a clique's code is its face without the last
+    node times the node count, plus that node, and codes ascend with the
+    rows. Returns the new cliques, in lexicographic order, and their faces
+    as indices into `rows`, column j the face without node j (the last
+    column is the clique extended). Raises ConfigurationError, before
+    making them, when one cloud's candidates (a clique and a higher
+    neighbour of its last node) number more than `_MAX_CANDIDATES`; the
+    message is `named` filled in with that count, then the cap. Candidates
+    are made for consecutive runs of rows, at most that many at a time, so a
+    batch of many clouds takes no more memory than its largest allowed cloud.
+    """
+    m, c = rows.shape
+    if not m:
+        return np.zeros((0, c + 1), dtype=np.intp), np.zeros((0, c + 1), dtype=np.intp)
+    n = len(cloud)
+    second = pairs[:, 1]
+    count = np.bincount(pairs[:, 0], minlength=n)
+    start = np.cumsum(count) - count
+    last = rows[:, -1]
+    reps = count[last]
+    need = int(np.bincount(cloud[last], weights=reps).max())
+    if need > _MAX_CANDIDATES:
+        raise ConfigurationError(f"{named.format(need)}, above the cap of {_MAX_CANDIDATES}")
+    codes = faces[:, -1].astype(np.int64) * n + last
+    ends = np.cumsum(reps)
+    runs = []  # (cliques, faces) grown from each run of rows lo..hi-1
+    lo = 0
+    while lo < m:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, done + _MAX_CANDIDATES, side="right")), lo + 1)
+        run = slice(lo, hi)
+        parent = np.repeat(np.arange(lo, hi), reps[run])
+        node = second[start[last[parent]] + np.arange(done, int(ends[hi - 1]))
+                      - np.repeat(ends[run] - reps[run], reps[run])]
+        found = []  # the faces found so far, the last column first
+        for j in range(c - 1, -1, -1):
+            wanted = faces[:, j][parent].astype(np.int64) * n + node
+            at = np.searchsorted(codes, wanted)
+            hit = codes.take(at, mode="clip") == wanted
+            parent, node = parent[hit], node[hit]
+            found = [column[hit] for column in found] + [at[hit]]
+        runs.append((np.column_stack([column[parent] for column in rows.T] + [node]),
+                     np.column_stack(found[::-1] + [parent])))
+        lo = hi
+    return runs[0] if len(runs) == 1 else tuple(np.concatenate(part) for part in zip(*runs))
 
 
 def geometric_graph(cloud: PointCloud, r: float) -> GeometricGraph:

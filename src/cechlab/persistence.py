@@ -30,9 +30,10 @@ components of k+2 or more points whose 1-skeleton at r has a cycle
 almost every component is a tiny tree: at n = 1e5 a figure-1 cloud has
 about 8.8k components of 3 or more points, and about 1.6k of them have a
 cycle at r. The kept components are built together in one batched pass
-over the labelled pairs (`filtration._component_filtrations`), with
-triangle radii bit-equal to `miniball`'s; the simplices of each are
-those built from its component as a sub-cloud. `geometry._labels`
+over the labelled pairs (`filtration._component_filtrations`, one level
+of clique growth per dimension), with triangle radii bit-equal to
+`miniball`'s; the simplices of each are those built from its component
+as a sub-cloud. `geometry._labels`
 labels the components in numpy.
 
 `persistent_bettis` runs all of this on a batch of clouds: their points
@@ -66,10 +67,10 @@ skips the k-simplices that are pivots of the first (clearing: such a
 column is a sum of columns before it in the same row order). The
 diagrams of `compute_persistence` and of the witness search come from
 the same reducer, with the columns in value order. A column's rows are
-its facets: the batched builder hands over the edges of each triangle as
-it finds them, and the rest (vertices of edges, tetrahedra and up, and
-every simplex of a `FilteredComplex` from outside) are looked up by code
-(`_facet_index`).
+its facets: the batched builder hands over the facets of every simplex
+from triangles up as its clique growth finds them, and the rest (the
+vertices of edges, and every simplex of a `FilteredComplex` from
+outside) are looked up by code (`_facet_index`).
 """
 from __future__ import annotations
 

@@ -24,7 +24,8 @@ component. A count makes one pass for both its labels and its locality
 pairs, at the larger cutoff (`_reach`), and each keeps the candidates
 that pass its own closed test. One enumerator, `_unions`, serves every
 count: over a whole batch in numpy, it grows the p-point unions of
-components that are cliques at the locality radius, level by level.
+components that are cliques at the locality radius, level by level, with
+the clique step that grows the Cech simplices (`geometry._next_cliques`).
 These are the isolated p-cliques, or in the trivial context all
 p-cliques, so `count_property` is `subset_count` in the trivial context.
 Both match exhaustive enumeration exactly (tested).
@@ -52,8 +53,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _batch_sizes, _labels, _near_pairs, _rows_dist2, _stacked,
-                       ball_volume)
+from .geometry import (PointCloud, _batch_sizes, _labels, _near_pairs, _next_cliques,
+                       _rows_dist2, _stacked, ball_volume)
 from .persistence import FieldSpec, GF2, _persistent_bettis
 from .sampling import Density, _sample_stack, sample_binomial, sample_in_ball
 
@@ -398,11 +399,6 @@ def upsilon(r: float, p: int, theta: float, k: int,
 # ---------------------------------------------------------------------------
 
 
-# Candidate unions that one level of `_unions` may make for one cloud; a
-# denser cloud raises ConfigurationError instead of growing without end.
-_MAX_UNION_CANDIDATES = 5_000_000
-
-
 def _unions(p: int, labels: np.ndarray, pairs: np.ndarray, cloud_of: np.ndarray) -> np.ndarray:
     """The p-point unions of components that are cliques at the pairs' radius, as (m, p) rows.
 
@@ -412,12 +408,13 @@ def _unions(p: int, labels: np.ndarray, pairs: np.ndarray, cloud_of: np.ndarray)
     a union of p points (it has p points, or fewer and a pair to a component
     that fits beside it) and is a clique: 2 * (inner pairs) = s(s - 1). Two
     kept components are adjacent when they fit together and all s_a * s_b
-    cross pairs are pairs. Unions grow level by level: each joins its last
-    component to the higher adjacent ones that are adjacent to every earlier
-    member and still fit. Rows list ascending point indices, in ascending
-    order: each cloud's `itertools.combinations` order, cloud after cloud.
-    Raises ConfigurationError, before making them, when one cloud's
-    candidates for a level number more than `_MAX_UNION_CANDIDATES`.
+    cross pairs are pairs. Unions are the cliques of that adjacency, grown
+    level by level (`geometry._next_cliques`): the unions of fewer than p
+    points grow, those of p points are kept and larger ones dropped. Rows
+    list ascending point indices, in ascending order: each cloud's
+    `itertools.combinations` order, cloud after cloud. Raises
+    ConfigurationError, before making them, when one cloud's candidates for
+    a level number more than `geometry._MAX_CANDIDATES`.
     """
     size = np.bincount(labels)
     k = len(size)
@@ -430,33 +427,22 @@ def _unions(p: int, labels: np.ndarray, pairs: np.ndarray, cloud_of: np.ndarray)
     cross = fits & kept[a] & kept[b]
     keys, hits = np.unique(np.minimum(a, b)[cross] * k + np.maximum(a, b)[cross],
                            return_counts=True)
-    keys = keys[hits == size[keys // k] * size[keys % k]]  # (lo, hi) of adjacent components
-    low, high = keys // k, keys % k
+    keys = keys[hits == size[keys // k] * size[keys % k]]
+    adjacent = np.column_stack(np.divmod(keys, k))  # (lo, hi) of adjacent components
     order = np.argsort(labels, kind="stable")  # the points component by component
     first = np.cumsum(size) - size
     owner = cloud_of[order[first]]
-    grown, done = np.flatnonzero(kept)[:, None], []
+    grown = np.flatnonzero(kept)[:, None]
+    faces, done = np.zeros_like(grown), []
     while True:
         total = size[grown].sum(axis=1)
         done.append(grown[total == p].ravel())
-        grown, total = grown[total < p], total[total < p]
+        grown, faces = grown[total < p], faces[total < p]
         if not len(grown):
             break
-        begin = np.searchsorted(low, grown[:, -1])
-        reps = np.searchsorted(low, grown[:, -1], side="right") - begin
-        need = int(np.bincount(owner[grown[:, 0]], weights=reps).max())
-        if need > _MAX_UNION_CANDIDATES:
-            raise ConfigurationError(
-                f"a cloud needs {need} candidate unions of {grown.shape[1] + 1} components, "
-                f"above the cap of {_MAX_UNION_CANDIDATES}")
-        row = np.repeat(np.arange(len(grown)), reps)
-        cand = high[np.arange(len(row)) + np.repeat(begin - (np.cumsum(reps) - reps), reps)]
-        keep = total[row] + size[cand] <= p
-        for member in grown.T[:-1]:
-            row, cand = row[keep], cand[keep]
-            key = member[row] * k + cand
-            keep = keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
-        grown = np.column_stack((grown[row[keep]], cand[keep]))
+        grown, faces = _next_cliques(
+            grown, faces, adjacent, owner,
+            f"a cloud needs {{}} candidate unions of {grown.shape[1] + 1} components")
     # Each union's components, then their points, p per union.
     members = np.concatenate(done)
     reps = size[members]

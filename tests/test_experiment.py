@@ -217,7 +217,7 @@ def test_an_audit_batch_makes_one_neighbour_query(monkeypatch, tmp_path):
     for module in (experiment, filtration, properties):
         monkeypatch.setattr(module, "_near_pairs", counting)
     _on_cores(monkeypatch, {0})
-    monkeypatch.setattr(experiment, "_BATCH_POINTS", 200)  # batches of 10 and of 6 trials
+    monkeypatch.setattr(geometry, "_BATCH_POINTS", 200)  # batches of 10 and of 6 trials
     table = lower_bound_audit(spec, m=3, dump_dir=tmp_path)
     assert [(row.isolated_cycles, row.persistent_betti) for row in table.rows] == expected
     assert queries == [10] * 6 + [6] * 10
@@ -263,7 +263,7 @@ def _splits(monkeypatch):
     """
     for cores in ({0}, {0, 1}, {0, 1, 2}):
         yield len(cores), _on_cores(monkeypatch, cores)
-    monkeypatch.setattr(experiment, "_BATCH_POINTS", 0)
+    monkeypatch.setattr(geometry, "_BATCH_POINTS", 0)
     yield "one", _on_cores(monkeypatch, {0, 1})
 
 
@@ -310,7 +310,7 @@ def test_rows_pickle_through_the_split(monkeypatch):
 
 
 def test_a_batch_that_raises_only_as_a_whole_gives_its_trials_run_alone(monkeypatch):
-    # As the triangle cap would if it counted a batch rather than a cloud.
+    # As the candidate cap would if it counted a batch rather than a cloud.
     def squares(batch: range) -> list[int]:
         if len(batch) > 1:
             raise ConfigurationError("batch too large")

@@ -120,3 +120,39 @@ def test_program_uses_every_public_name():
                 unused.add(target)
     assert unused == _ENTRY_POINTS, (sorted(unused - _ENTRY_POINTS),
                                      sorted(_ENTRY_POINTS - unused))
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Top-level private functions, classes and constants by name (dunder names excluded)."""
+    found: dict[str, ast.AST] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found.update((name, node) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def test_program_uses_every_private_name():
+    # Every private top-level function, class or constant of the package is
+    # referenced outside its own definition, in the package or in the
+    # benchmark, so no private code lives on for the tests alone; imports do
+    # not count.
+    package = Path(cechlab.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sources + sorted((package.parents[1] / "bench").glob("*.py"))]
+    checked, unused = 0, []
+    for source, tree in zip(sources, trees):
+        for name, node in _private_definitions(tree).items():
+            checked += 1
+            if not any(name in _referenced(other, node) for other in trees):
+                unused.append(f"{source.name}:{name}")
+    assert not unused, unused
+    assert checked >= 90, checked

@@ -154,7 +154,7 @@ def test_whole_cloud_build_equals_scalar_reference():
     # No point and one point.
     cases += [(PointCloud.from_points([], dim=2), 0.3), (PointCloud.from_points([(0.5, 0.5)]), 0.3)]
     for cloud, r_max in cases:
-        for max_dim in range(4):
+        for max_dim in range(4 if len(cloud) > 20 else 6):  # levels 4 and 5 on small clouds
             built = build_cech_filtration(cloud, r_max, max_dim, force=True)
             assert built == scalar_build(cloud, r_max, max_dim), (cloud.points.tolist(), r_max)
     # r_max = 0 (only `_build` takes it): edges, triangles and tetrahedra of copies.

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from cechlab import filtration
+from cechlab import filtration, geometry
 from cechlab.errors import ConfigurationError
 from cechlab.filtration import FilteredComplex, build_cech_filtration
 from cechlab.geometry import PointCloud, _dist2, miniball
@@ -453,7 +453,7 @@ def test_triangle_cap_counts_per_cloud(monkeypatch):
         pairs, _ = filtration._edge_pairs(cloud.points, [len(cloud)], 0.3)
         candidates.append(int(np.bincount(pairs[:, 0], minlength=12)[pairs[:, 1]].sum()))
     assert max(candidates) <= 150 < sum(candidates)
-    monkeypatch.setattr(filtration, "_MAX_TRIANGLE_CANDIDATES", 150)
+    monkeypatch.setattr(geometry, "_MAX_CANDIDATES", 150)
     assert persistent_bettis(clouds, 0.2, 1.5, 1).tolist() == alone
     # One cloud over the cap is refused with its own count, alone or in a batch.
     dense = PointCloud(2, rng.random((40, 2)))
@@ -467,6 +467,38 @@ def _outcome(call) -> str:
     with pytest.raises(ConfigurationError) as info:
         call()
     return str(info.value)
+
+
+def test_tetrahedron_cap_counts_per_cloud(monkeypatch):
+    # One level up: each cloud's candidate triangles and tetrahedra (a
+    # triangle and a higher neighbour of its last vertex) are under the cap and
+    # the batch's tetrahedra together over it; every cloud keeps the 2-cycle
+    # of its octahedron.
+    rng = np.random.default_rng(151)
+    octahedron = np.vstack([np.eye(3), -np.eye(3)]) * 0.1
+    clouds = [PointCloud(3, np.vstack([rng.random((12, 3)), octahedron + rng.random(3)]))
+              for _ in range(10)]
+    r, theta = 0.085, 1.1
+    alone = [persistent_betti(cloud, r, theta, 2) for cloud in clouds]
+    assert alone == [1] * 10
+    triangles, tetrahedra = [], []
+    for cloud in clouds:
+        n = len(cloud)
+        simplices, _ = filtration._component_filtrations(
+            cloud.points, *filtration._edge_pairs(cloud.points, [n], theta * r),
+            np.zeros(n, dtype=np.intp), np.array([True]), theta * r, 2, np.array([0]))
+        higher = np.bincount(simplices[1][0][:, 0], minlength=n)
+        triangles.append(int(higher[simplices[1][0][:, 1]].sum()))
+        tetrahedra.append(int(higher[simplices[2][0][:, 2]].sum()))
+    assert max(triangles + tetrahedra) <= 60 < sum(tetrahedra)
+    monkeypatch.setattr(geometry, "_MAX_CANDIDATES", 60)
+    assert persistent_bettis(clouds, r, theta, 2).tolist() == alone
+    # A clique of 8 points has 56 candidate triangles and 70 tetrahedra.
+    dense = PointCloud(3, rng.random((8, 3)) * 0.01)
+    message = _outcome(lambda: build_cech_filtration(dense, 0.1, 3))
+    assert message == "the filtration needs 70 candidate tetrahedra, above the cap of 60"
+    assert _outcome(lambda: persistent_betti(dense, r, theta, 2)) == message
+    assert _outcome(lambda: persistent_bettis(clouds[:3] + [dense], r, theta, 2)) == message
 
 
 def test_persistent_betti_monotone_in_theta():
@@ -532,13 +564,15 @@ def test_diagrams_match_the_scalar_reduction():
 
 
 def test_builder_facets_are_the_looked_up_facets():
-    # The builder's facets of triangles (column j: the edge without vertex j)
-    # are those `_facet_index` finds by code, on whole clouds and on the kept
-    # components of a batch, in d = 2 and 3 and on dyadic lattices whose edges
-    # and triangles sit exactly at r_max. Other dimensions have none.
+    # The builder's facets of every dimension from triangles up (column j: the
+    # facet without vertex j) are those `_facet_index` finds by code, on whole
+    # clouds and on the kept components of a batch, in d = 2 and 3 and on
+    # dyadic lattices whose edges, triangles and tetrahedra sit exactly at
+    # r_max. Vertices and edges have none.
     rng = np.random.default_rng(97)
     clouds = [rng.random((n, d)) for d in (2, 3) for n in (3, 40, 300)]
     clouds += [cubic_lattice(d, count) for d in (2, 3) for count in (9, 64)]
+    tetrahedra = 0
     for points in clouds:
         n, d = points.shape
         for r_max in (S / 2.0, S, 0.6 * n ** (-1.0 / d)):
@@ -546,8 +580,11 @@ def test_builder_facets_are_the_looked_up_facets():
             simplices, facets = filtration._component_filtrations(
                 points, *filtration._edge_pairs(points, [n], r_max), one, np.array([True]),
                 r_max, d, np.array([0]))
-            assert facets[:2] == [None, None] and all(f is None for f in facets[3:])
-            assert np.array_equal(facets[2], _facet_index(simplices, simplices[2][0], n))
+            assert facets[:2] == [None, None] and len(facets) == d + 1
+            for q in range(2, d + 1):
+                assert np.array_equal(facets[q], _facet_index(simplices, simplices[q][0], n))
+            tetrahedra += d == 3 and len(simplices[3][0])
+    assert tetrahedra > 100, tetrahedra
     batch = [rng.random((int(m), 2)) for m in rng.integers(10, 60, 12)]
     batch += [cubic_lattice(2, 30), cubic_lattice(2, 16)]
     points = np.concatenate(batch)
@@ -555,9 +592,10 @@ def test_builder_facets_are_the_looked_up_facets():
         for k in (1, 2):
             _, labels, simplices, facets, _ = _component_complexes(
                 points, [len(pts) for pts in batch], r, 1.4 * r, k)
-            assert simplices and len(simplices[2][0])
-            assert np.array_equal(facets[2], _facet_index(simplices, simplices[2][0],
-                                                          len(labels)))
+            assert simplices and len(simplices[k + 1][0])
+            for q in range(2, k + 2):
+                assert np.array_equal(facets[q], _facet_index(simplices, simplices[q][0],
+                                                              len(labels)))
 
 
 def test_a_missing_face_is_refused():

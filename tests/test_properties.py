@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from cechlab import geometry, properties
+from cechlab import geometry
 from cechlab.errors import ConfigurationError
 from cechlab.geometry import PointCloud, _close_pairs, _labels, ball_volume, geometric_graph
 from cechlab.persistence import persistent_betti, persistent_bettis
@@ -757,7 +757,7 @@ def test_plain_counts_on_dense_clouds_match_exhaustive_enumeration():
 def test_oversized_union_frontier_fails_fast(monkeypatch):
     # The cap counts one cloud's candidates: a batch of small dense clouds
     # stays under it, a dense cloud at a high arity raises before growing.
-    monkeypatch.setattr(properties, "_MAX_UNION_CANDIDATES", 50)
+    monkeypatch.setattr(geometry, "_MAX_CANDIDATES", 50)
     rng = np.random.default_rng(239)
     g = conn(0.1, 3)
     small = [PointCloud(2, rng.random((5, 2)) * 0.1) for _ in range(20)]
