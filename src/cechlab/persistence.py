@@ -3,9 +3,11 @@
 One reducer serves every caller: `_pivot_rows` reduces the boundary
 columns of one dimension, given as an index array in the order wanted,
 and returns its pivots as (row, column) pairs. `compute_persistence`
-reads its diagram off those pairs (`_diagram`: dimensions reduced top
-down, columns in value order, with clearing, so columns known to be
-births are skipped), and the ranks below read only their rows.
+reads its diagram off those pairs (dimensions reduced top down, columns
+in value order, with clearing, so columns known to be births are
+skipped), the arity search reads the degree-k pairs of a stack of
+configurations off one pass (`witness._best_intervals`), and the ranks
+below read only their rows.
 The tests check those ranks against a dense oracle that shares none of
 this code (`tests/dense_oracle.py`).
 
@@ -64,13 +66,11 @@ k = 1, rank d_k(K) is vertices minus components of K's 1-skeleton,
 counted per cloud by the labelling that looked for cycles at r;
 above, it is the pivot count of a second pass over K's k-columns that
 skips the k-simplices that are pivots of the first (clearing: such a
-column is a sum of columns before it in the same row order). The
-diagrams of `compute_persistence` and of the witness search come from
-the same reducer, with the columns in value order. A column's rows are
-its facets: the batched builder hands over the facets of every simplex
-from triangles up as its clique growth finds them, and the rest (the
-vertices of edges, and every simplex of a `FilteredComplex` from
-outside) are looked up by code (`_facet_index`).
+column is a sum of columns before it in the same row order). A column's
+rows are its facets: the batched builder hands over the facets of every
+simplex from triangles up as its clique growth finds them, and only a
+`FilteredComplex` from outside, in `compute_persistence`, has its facets
+looked up by code (`_facet_index`).
 """
 from __future__ import annotations
 
@@ -132,9 +132,16 @@ class PersistenceDiagram:
     field: FieldSpec = GF2
 
     def rank(self, k: int, r: float, r_outer: float | None = None) -> int:
-        """Classes of dimension k alive from r through r_outer (default r)."""
+        """Classes of dimension k alive from r through r_outer (default r).
+
+        Raises ValueError unless 0 <= r <= r_outer < inf, the radii that
+        `persistent_bettis` takes (r_outer = theta*r with theta >= 1).
+        """
         if r_outer is None:
             r_outer = r
+        if not (0.0 <= r <= r_outer < math.inf):
+            raise ValueError(f"radii must satisfy 0 <= r <= r_outer < inf, got r={r}, "
+                             f"r_outer={r_outer}")
         count = 0
         for dim, birth, death in self.intervals:
             if dim == k and birth <= r and death > r_outer:
@@ -191,11 +198,17 @@ def compute_persistence(complex_: FilteredComplex,
                         field_spec: FieldSpec = GF2) -> PersistenceDiagram:
     """Persistence diagram of a filtered complex over F_p.
 
-    The simplices are grouped by dimension and the components of the edges
-    label their vertices (`geometry._labels`), so each column of the
-    reduction is a bitmask over its own component's rows (`_diagram`).
-    Raises ValueError if a face of a simplex is missing from the complex.
-    Deterministic: identical inputs give identical diagrams.
+    The simplices are grouped by dimension, their facets are looked up by
+    code (`_facet_index`) and the components of the edges label their
+    vertices (`geometry._labels`), so each column of the reduction is a
+    bitmask over its own component's rows. Each dimension's columns are
+    reduced by `_pivot_rows` in value order, from the top dimension down,
+    skipping the simplices paired as births by the dimension above
+    (clearing). The order of simplices of equal value changes which of them
+    pair, not the intervals: zero-length pairs are dropped, and the
+    simplices left unpaired are the essential classes. Raises ValueError if
+    a face of a simplex is missing from the complex. Deterministic:
+    identical inputs give identical diagrams.
     """
     top = max((len(verts) - 1 for verts, _ in complex_.simplices), default=0)
     grouped: list[list] = [[] for _ in range(top + 1)]
@@ -206,24 +219,6 @@ def compute_persistence(complex_: FilteredComplex,
                  for q, of_q in enumerate(grouped)]
     n = complex_.vertex_count
     labels = _labels(n, simplices[1][0]) if top else np.zeros(n, dtype=np.intp)
-    return _diagram(simplices, labels, field_spec)
-
-
-def _diagram(simplices: list[tuple[np.ndarray, np.ndarray]], labels: np.ndarray,
-             field_spec: FieldSpec,
-             facets: Sequence[np.ndarray | None] | None = None) -> PersistenceDiagram:
-    """Persistence diagram of simplices given per dimension as (vertices, values).
-
-    The simplices may come in any order, and `labels` gives each vertex a
-    component that holds every simplex through it (any coarser partition
-    serves, one label for all included). `facets`, if given, holds per
-    dimension the builder's facet indices or None (see `_pivot_rows`).
-    Each dimension's columns are reduced by `_pivot_rows` in value order,
-    from the top dimension down, skipping the simplices paired as births
-    by the dimension above (clearing). The order of simplices of equal value changes which of them
-    pair, not the intervals: zero-length pairs are dropped, and the
-    simplices left unpaired are the essential classes.
-    """
     # The death of each simplex as a birth: inf while unpaired, -inf once it
     # is a death itself, so that `value < end` keeps exactly the intervals.
     ends = [np.full(len(values), math.inf) for _, values in simplices]
@@ -231,7 +226,7 @@ def _diagram(simplices: list[tuple[np.ndarray, np.ndarray]], labels: np.ndarray,
         order = np.argsort(simplices[q][1], kind="stable")
         columns = order[ends[q][order] == math.inf]  # not births of the dimension above
         rows, cols = _pivot_rows(simplices, q, labels, field_spec.characteristic, columns,
-                                 None if facets is None else facets[q])
+                                 _facet_index(simplices, simplices[q][0], n))
         ends[q - 1][rows] = simplices[q][1][cols]
         ends[q][cols] = -math.inf
     kept = [values < end for (_, values), end in zip(simplices, ends)]
@@ -364,18 +359,17 @@ def _component_complexes(
 
 
 def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: np.ndarray,
-                p: int, columns: np.ndarray,
-                facets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                p: int, columns: np.ndarray, facets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pivots of the reduced boundary matrix of the q-simplices over F_p, as (row, column) pairs.
 
     `simplices` holds (vertices, values) per dimension for disjoint
     components (`labels` of their vertices); `columns` indexes the
     q-simplices to reduce, in the order they are reduced. `facets` gives,
     for every q-simplex, the index of its facet without vertex j among the
-    (q-1)-simplices in column j, as the builder found them; without it they
-    are looked up by code (`_facet_index`). Rows are the
-    (q-1)-simplices ordered by component and, within one, by value, ties in
-    their given order: so the pivots among rows of value <= r number
+    (q-1)-simplices in column j: as the builder found them, or looked up by
+    code (`_facet_index`). Rows are the (q-1)-simplices ordered by
+    component and, within one, by value, ties in their given order: so the
+    pivots among rows of value <= r number
     dim(B_{q-1}(K) & C_{q-1}(K_r)) whatever the column order, and with
     the columns in value order the pairs are persistence pairs. Over F_2
     a column is a bitmask over its component's rows; pivots are keyed by
@@ -389,8 +383,7 @@ def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: 
     row = np.empty(len(order), dtype=np.intp)
     row[order] = np.arange(len(order))
     lead = simplices[q][0][columns, 0]  # a vertex of each column, for its component
-    rows = row[_facet_index(simplices, simplices[q][0][columns], len(labels)) if facets is None
-               else facets[columns]]
+    rows = row[facets[columns]]
     pivots: dict = {}
     if p == 2:
         sizes = np.bincount(component)

@@ -13,25 +13,24 @@ minimal number of points that can support such a cycle by brute
 sampling.
 
 The search scores configurations by their best degree-k death/birth
-ratio. For k = 1, triangles have a vectorised closed form
-(`_triangle_persistence_ratios`), and `_batch_ratios` scores a batch of
-4 to 11 points over GF(2) in one vectorised pass: edge and triangle
-values, their filtration order, and a GF(2) reduction of the triangle
-columns as int64 bitmasks over edge ranks. Its ratios are bit-equal to
-the per-configuration `_config_ratio`, which reads the diagram of the
-configuration's complete complex (`_best_interval`) off the package's
-one reducer (`persistence._diagram`). It serves the other cases: k >= 2
-(more than triangle columns), other fields (from 6 points on, a complex
-can hold a triangulated projective plane, whose H_1 depends on the
-field) and more than 11 points (C(11, 2) = 55 edge bits fill an int64).
+ratio. `_best_intervals` scores any stack of configurations: it takes
+them as the components of one complex, builds each one's complete
+complex up to dimension k+1 with the package's one builder
+(`filtration._component_filtrations`) and reads each one's degree-k
+pairs off one pass of its one reducer (`persistence._pivot_rows`). Two
+vectorised forms score the k = 1 batches they can: the closed form of
+triangles (`_triangle_persistence_ratios`), and `_batch_ratios` for 4 to
+11 points over GF(2), a GF(2) reduction of the triangle columns as int64
+bitmasks over edge ranks, bit-equal to `_best_intervals`. Other fields
+need the reducer: from 6 points on, a complex can hold a triangulated
+projective plane, whose H_1 depends on the field.
 
 Each batch's best configuration is refined by `_nelder_mead`, which runs
 scipy's Nelder-Mead step for step on many starts at once, so witnesses
 do not depend on the installed scipy; scipy's `minimize` is only the
 tests' oracle. The triangle search refines all its batches' starts in one
 lockstep, scored in closed form. Every other case refines each batch's
-start alone: `_config_ratio` scores one configuration at a time, and
-that cost, not the step's bookkeeping, dominates its refinement.
+start as it comes, scored by `_best_intervals`.
 """
 from __future__ import annotations
 
@@ -47,7 +46,8 @@ from .errors import ConfigurationError
 from .geometry import (PointCloud, _batch_sizes, _format_cloud, _parse_cloud, _rows_dist2,
                        _triangle_radii)
 from .filtration import _component_filtrations
-from .persistence import FieldSpec, GF2, _diagram, _persistent_bettis, persistent_betti
+from .persistence import FieldSpec, GF2, _persistent_bettis, _pivot_rows, persistent_betti
+from .properties import _gaps, _pairs
 from .sampling import sample_in_ball
 
 __all__ = [
@@ -271,34 +271,6 @@ def perturb_and_verify(witness: CycleWitness, rng: np.random.Generator, trials: 
 # ---------------------------------------------------------------------------
 
 
-def _best_interval(points: np.ndarray, k: int,
-                   field_spec: FieldSpec) -> tuple[float, float] | None:
-    """Finite degree-k (birth, death) pair with the largest death/birth, if any.
-
-    One diagram answers the whole radius scan exactly: a witness radius
-    exists iff some degree-k interval satisfies death/birth > theta. The
-    filtration runs out to the diameter, where every pair is an edge and
-    the configuration one component: the complete complex up to dimension
-    k+1 is built straight from all pairs (`_component_filtrations`) and
-    reduced as one component (`_diagram`).
-    """
-    n = len(points)
-    edges = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
-    d2 = _rows_dist2(points[edges[:, 0]], points[edges[:, 1]])
-    diameter = math.sqrt(d2.max()) if n > 1 else 0.0
-    if diameter == 0.0:
-        return None
-    one = np.zeros(n, dtype=np.intp)
-    simplices, facets = _component_filtrations(points, edges, 0.5 * np.sqrt(d2), one,
-                                               np.array([True]), diameter, k + 1, one[:1])
-    best: tuple[float, float] | None = None
-    for birth, death in _diagram(simplices, one, field_spec, facets).in_dimension(k):
-        if birth > 0.0 and math.isfinite(death):
-            if best is None or death / birth > best[1] / best[0]:
-                best = (birth, death)
-    return best
-
-
 def _triangle_persistence_ratios(configs: np.ndarray) -> np.ndarray:
     """death/birth for the 1-cycle of each 3-point configuration (vectorized).
 
@@ -322,22 +294,56 @@ def _triangle_persistence_ratios(configs: np.ndarray) -> np.ndarray:
     return np.sqrt(ratio2)
 
 
-def _config_ratio(points: np.ndarray, k: int, field_spec: FieldSpec) -> float:
-    """Best death/birth over degree-k intervals; 1.0 when no cycle forms."""
-    if k == 1 and points.shape[0] == 3:
-        return float(_triangle_persistence_ratios(points[None])[0])
-    interval = _best_interval(points, k, field_spec)
-    return 1.0 if interval is None else max(1.0, interval[1] / interval[0])
-
-
 # Largest configuration `_batch_ratios` scores: its C(11, 2) = 55 edge ranks
 # are the bits of an int64 column.
 _BATCH_MAX_POINTS = 11
 # Configurations `search_m` hands `_batch_ratios` at once. At 4 points the
 # scorer's arrays then take about 0.3 MB; scoring whole 4096-configuration
 # batches saves about 5 ms per batch but adds about 0.9 MB to the peak RSS
-# of a 4-point search.
+# of a 4-point search. It also bounds the (k+1)-simplices `_best_intervals`
+# builds at once.
 _SCORE_CHUNK = 1024
+
+
+def _best_intervals(configs: np.ndarray, k: int,
+                    field_spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-k (birth, death) of largest death/birth of each configuration of an (m, p, d) stack.
+
+    A witness radius exists iff some degree-k interval has death/birth >
+    theta. The configurations are the components of one complex in which
+    every pair inside one is an edge, so `_component_filtrations` builds
+    each one's complete complex up to dimension k+1 as it would alone, and
+    one `_pivot_rows` pass over the (k+1)-columns in value order gives
+    exactly each diagram's finite degree-k pairs. A pair counts if birth > 0
+    and death > birth; ratio ties go to the smallest (birth, death). Returns
+    births and deaths, NaN where no pair counts. A call builds at most as
+    many (k+1)-simplices as `_SCORE_CHUNK` 4-point configurations hold
+    triangles (or one configuration), so its memory does not grow with m.
+    """
+    m, p, d = configs.shape
+    per_call = max(1, _SCORE_CHUNK * math.comb(4, 3) // max(1, math.comb(p, k + 2)))
+    if m > per_call:
+        parts = [_best_intervals(configs[i:i + per_call], k, field_spec)
+                 for i in range(0, m, per_call)]
+        return np.concatenate([b for b, _ in parts]), np.concatenate([e for _, e in parts])
+    first, second = _pairs(p)
+    base = (np.arange(m) * p)[:, None]
+    edges = np.stack((first + base, second + base), axis=-1).reshape(-1, 2)
+    labels = np.repeat(np.arange(m), p)
+    simplices, facets = _component_filtrations(
+        configs.reshape(-1, d), edges, 0.5 * np.sqrt(_gaps(configs).ravel()), labels,
+        np.ones(m, dtype=bool), math.inf, k + 1, np.arange(m))
+    order = np.argsort(simplices[k + 1][1], kind="stable")
+    rows, cols = _pivot_rows(simplices, k + 1, labels, field_spec.characteristic, order,
+                             facets[k + 1])
+    birth, death = simplices[k][1][rows], simplices[k + 1][1][cols]
+    kept = (birth > 0.0) & (death > birth)
+    config, birth, death = labels[simplices[k + 1][0][cols[kept], 0]], birth[kept], death[kept]
+    best = np.lexsort((death, birth, -(death / birth), config))
+    config, at = np.unique(config[best], return_index=True)
+    births, deaths = np.full(m, math.nan), np.full(m, math.nan)
+    births[config], deaths[config] = birth[best[at]], death[best[at]]
+    return births, deaths
 
 
 def _highest_bit(x: np.ndarray) -> np.ndarray:
@@ -348,11 +354,10 @@ def _highest_bit(x: np.ndarray) -> np.ndarray:
 
 
 def _batch_ratios(configs: np.ndarray) -> np.ndarray:
-    """`_config_ratio(configs[i], 1, GF2)` for each configuration, (m, p, d) -> (m,).
+    """Best degree-1 death/birth over GF(2) of each configuration, 1.0 if none, (m, p, d) -> (m,).
 
-    For 4 <= p <= 11 points, bit-equal. `_best_interval` builds the full
-    2-skeleton (r_max is the diameter), so no degree-1 class is essential
-    and its finite pairs are those of the triangle columns. This builds the
+    For 4 <= p <= 11 points, bit-equal to `_best_intervals(configs, 1, GF2)`,
+    whose finite pairs are those of the triangle columns. This builds the
     same filtration for the whole batch at once: edge values from `_dist2`'s
     squares, triangle values as the largest of the `miniball` radius
     (`_triangle_radii`) and the three edge values, and per configuration a
@@ -408,10 +413,9 @@ def _witness_from_config(points: np.ndarray, d: int, k: int, theta: float,
     if span == 0.0:
         return None
     points = points / span
-    interval = _best_interval(points, k, field_spec)
-    if interval is None or interval[1] <= theta * interval[0]:
+    birth, death = (float(end[0]) for end in _best_intervals(points[None], k, field_spec))
+    if not death > theta * birth:  # NaN: no interval
         return None
-    birth, death = interval
     r = math.sqrt(birth * (death / theta))
     cloud = PointCloud(d, points)
     rank = persistent_betti(cloud, r, theta, k, field_spec)
@@ -525,14 +529,11 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
     returned. Finding no witness suggests (but never proves) that p is
     below the minimal cycle arity.
 
-    For k = 1, triangles are scored in closed form, vectorised, and
-    batches of 4 to 11 points over GF(2) in one vectorised diagram pass
-    (`_batch_ratios`), bit-equal to scoring each configuration alone.
-    Every other case scores one configuration at a time (`_config_ratio`),
-    by the diagram of its complete complex from the package's one
-    reducer: for k >= 2 the complex has more than triangle columns, over
-    other fields a 6-point projective plane has another H_1, and above 11
-    points the edges do not fit an int64 bitmask.
+    Every batch is scored as one stack (`_best_intervals`): the package's
+    one builder and one reducer take its configurations as the components
+    of one complex. For k = 1, triangles are scored in closed form instead,
+    and batches of 4 to 11 points over GF(2) by one vectorised GF(2) pass
+    (`_batch_ratios`), bit-equal to the stacked scorer.
 
     The local search is `_nelder_mead`, scipy's Nelder-Mead step for step.
     The triangle search refines all its batches together: it keeps each
@@ -541,10 +542,9 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
     batch's sampled candidates are verified. A witness among them puts the
     generator back to its batch's state, so the witness, the None and the
     generator's state are those of refining each batch as it comes. Every
-    other case refines each batch's start as it comes: its refinement
-    spends its time in `_config_ratio`, one configuration at a time, and
-    `_batch_ratios` costs more per call than a few configurations alone,
-    so a lockstep of several starts would save nothing.
+    other case refines each batch's start as it comes, scored by
+    `_best_intervals`: deferring it would score every later batch before
+    an early refinement's witness could return.
     """
     if d < 1 or k < 1 or p < 1:
         raise ValueError(f"invalid search parameters d={d}, k={k}, p={p}")
@@ -553,12 +553,15 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     triangles = k == 1 and p == 3
-    if triangles:
-        def objective(xs: np.ndarray) -> np.ndarray:
-            return -_triangle_persistence_ratios(xs.reshape(-1, p, d))
-    else:
-        def objective(xs: np.ndarray) -> np.ndarray:
-            return np.array([-_config_ratio(x.reshape(p, d), k, field_spec) for x in xs])
+
+    def score(configs: np.ndarray) -> np.ndarray:
+        if triangles:
+            return _triangle_persistence_ratios(configs)
+        births, deaths = _best_intervals(configs, k, field_spec)
+        return np.fmax(deaths / births, 1.0)  # 1.0 where no pair counts (NaN)
+
+    def objective(xs: np.ndarray) -> np.ndarray:
+        return -score(xs.reshape(-1, p, d))
     # Batch starts not yet refined, with the generator's state after their batch.
     pending: list[tuple[np.ndarray, dict]] = []
 
@@ -578,15 +581,11 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
     while done < trials:
         count = min(batch, trials - done)
         configs = rng.random((count, p, d))
-        if triangles:
-            # Vectorized: the triangle diagram is analytic.
-            ratios = _triangle_persistence_ratios(configs)
-        elif k == 1 and field_spec.characteristic == 2 and 4 <= p <= _BATCH_MAX_POINTS:
+        if k == 1 and field_spec.characteristic == 2 and 4 <= p <= _BATCH_MAX_POINTS:
             ratios = np.concatenate([_batch_ratios(configs[i:i + _SCORE_CHUNK])
                                      for i in range(0, count, _SCORE_CHUNK)])
         else:
-            ratios = np.fromiter((_config_ratio(configs[i], k, field_spec)
-                                  for i in range(count)), dtype=np.float64, count=count)
+            ratios = score(configs)
         hits = np.flatnonzero(ratios > theta)
         # Earlier batches' refinements come before this batch's candidates.
         if hits.size and pending:

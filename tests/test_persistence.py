@@ -78,6 +78,18 @@ def test_rank_counts_strictly_surviving_intervals():
     assert diagram.rank(0, 2.0) == 1
 
 
+def test_rank_refuses_radii_persistent_betti_refuses():
+    # A NaN outer radius used to count nothing, and an outer radius below r
+    # counted the class that died at circum < 0.56, as if theta < 1.
+    diagram = compute_persistence(build_cech_filtration(_unit_equilateral(), 1.0, 2))
+    for r, r_outer in ((0.5, math.nan), (0.56, 0.5), (math.nan, None), (-0.1, 0.5),
+                       (math.inf, None), (0.5, math.inf)):
+        with pytest.raises(ValueError, match="radii"):
+            diagram.rank(1, r, r_outer)
+    assert diagram.rank(1, 0.5, 0.5) == diagram.rank(1, 0.5) == 1
+    assert diagram.rank(0, 0.0, 0.0) == 3
+
+
 def test_persistent_betti_triangle_thresholds():
     cloud = _unit_equilateral()
     assert persistent_betti(cloud, 0.5, 1.1, 1) == 1

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 import cechlab
-from cechlab import geometry
+from cechlab import filtration, geometry, persistence
 from cechlab.errors import ConfigurationError
 from cechlab.filtration import build_cech_filtration
 from cechlab.geometry import PointCloud
-from cechlab.persistence import GF2, compute_persistence, persistent_betti
+from cechlab.persistence import GF2, FieldSpec, compute_persistence, persistent_betti
 from cechlab.sampling import sample_in_ball, stream
 from cechlab.witness import (CycleWitness, MBracket, _batch_ratios,
-                             _config_ratio, _highest_bit,
+                             _best_intervals, _highest_bit,
                              _nelder_mead, _triangle_persistence_ratios,
                              _witness_from_config, bracket_m,
                              construct_witness, perturb_and_verify,
@@ -212,26 +212,36 @@ def test_refinement_finds_the_four_point_witness():
     assert search_m(2, 1, 1.4, 4, 4096, stream(7), refine=False) is None
 
 
-def _scalar_search(d: int, k: int, theta: float, p: int,
-                   trials: int, rng: np.random.Generator) -> CycleWitness | None:
-    """`search_m`'s batch loop with every configuration scored alone by
-    `_config_ratio`, and each batch's start refined by scipy as it comes."""
+def _ratio_alone(config: np.ndarray, k: int, field: FieldSpec) -> float:
+    """`search_m`'s score of one configuration, scored alone (a batch of one):
+    triangles in closed form, anything else by `_best_intervals`; 1.0 when
+    no pair counts."""
+    if k == 1 and len(config) == 3:
+        return float(_triangle_persistence_ratios(config[None])[0])
+    births, deaths = _best_intervals(config[None], k, field)
+    return 1.0 if math.isnan(births[0]) else float(deaths[0] / births[0])
+
+
+def _scalar_search(d: int, k: int, theta: float, p: int, trials: int,
+                   rng: np.random.Generator, field: FieldSpec = GF2) -> CycleWitness | None:
+    """`search_m`'s batch loop with every configuration scored alone
+    (`_ratio_alone`), and each batch's start refined by scipy as it comes."""
     from scipy.optimize import minimize
 
     done = 0
     while done < trials:
         count = min(4096, trials - done)
         configs = rng.random((count, p, d))
-        ratios = np.array([_config_ratio(config, k, GF2) for config in configs])
+        ratios = np.array([_ratio_alone(config, k, field) for config in configs])
         for i in np.flatnonzero(ratios > theta):
-            witness = _witness_from_config(configs[i], d, k, theta, GF2)
+            witness = _witness_from_config(configs[i], d, k, theta, field)
             if witness is not None:
                 return witness
         start = configs[int(ratios.argmax())].reshape(-1)
-        result = minimize(lambda x: -_config_ratio(x.reshape(p, d), k, GF2),
+        result = minimize(lambda x: -_ratio_alone(x.reshape(p, d), k, field),
                           start, method="Nelder-Mead", options=_NELDER_MEAD)
         if -result.fun > theta:
-            witness = _witness_from_config(result.x.reshape(p, d), d, k, theta, GF2)
+            witness = _witness_from_config(result.x.reshape(p, d), d, k, theta, field)
             if witness is not None:
                 return witness
         done += count
@@ -243,6 +253,9 @@ _NELDER_MEAD = {"maxfev": 400, "xatol": 1e-4, "fatol": 1e-6}
 _TRIANGLE_TOP = 2.0 / math.sqrt(3.0)
 # The triangle cases below by path: the batches drawn when the search stops.
 _TRIANGLE_STOPS = {(2, 3): 4, (3, 3): 2, (5, 3): 6, (1, 3): 1}
+# The cases below that are not k = 1 over GF(2), by path: (k, field). They
+# score every batch and every refinement step as a stack (`_best_intervals`).
+_STACKED_SEARCHES = {(9, 1): (1, FieldSpec(3)), (11, 2): (2, GF2), (11, 3): (2, GF2)}
 
 
 @pytest.mark.parametrize("d, theta, p, trials, path", [
@@ -256,11 +269,16 @@ _TRIANGLE_STOPS = {(2, 3): 4, (3, 3): 2, (5, 3): 6, (1, 3): 1}
     # The second batch holds sampled candidates, so the first batch's start is
     # refined before they are verified, and its witness comes first.
     (2, _TRIANGLE_TOP - 5e-3, 3, 4 * 4096, (1, 3)),
+    # Found only by the refinement: GF(3) on 5 points, and k = 2 in d = 3 on 4.
+    (2, 1.4, 5, 8192, (9, 1)),
+    (3, 1.055, 4, 8192, (11, 2)),
+    (3, 1.07, 4, 3000, (11, 3)),  # empty: above the regular tetrahedron's sqrt(9/8)
 ])
 def test_batched_search_returns_the_scalar_witness(d, theta, p, trials, path):
+    k, field = _STACKED_SEARCHES.get(path, (1, GF2))
     rng, replay_rng = stream(*path), stream(*path)
-    batched = search_m(d, 1, theta, p, trials, rng)
-    scalar = _scalar_search(d, 1, theta, p, trials, replay_rng)
+    batched = search_m(d, k, theta, p, trials, rng, field_spec=field)
+    scalar = _scalar_search(d, k, theta, p, trials, replay_rng, field)
     after = rng.random(8).tobytes()
     assert after == replay_rng.random(8).tobytes()
     if p == 3:
@@ -270,7 +288,7 @@ def test_batched_search_returns_the_scalar_witness(d, theta, p, trials, path):
             position.random((min(4096, left), p, d))
             left -= 4096
         assert after == position.random(8).tobytes()
-    if path == (2, 3):
+    if path in ((2, 3), (11, 3)):
         assert batched is None and scalar is None
         return
     assert batched is not None and scalar is not None
@@ -350,8 +368,9 @@ def test_nelder_mead_on_config_ratio_follows_scipy():
     best = _batch_ratios(configs.reshape(-1, 4, 2)).reshape(2, 4096).argmax(axis=1)
     starts = np.concatenate([configs[np.arange(2), best].reshape(2, -1), rng.random((2, 8))])
 
-    def objective(xs: np.ndarray) -> np.ndarray:
-        return np.array([-_config_ratio(x.reshape(4, 2), 1, GF2) for x in xs])
+    def objective(xs: np.ndarray) -> np.ndarray:  # `search_m`'s, for 4 points
+        births, deaths = _best_intervals(xs.reshape(-1, 4, 2), 1, GF2)
+        return -np.fmax(deaths / births, 1.0)
 
     results, _ = _assert_nelder_mead_is_scipys(objective, starts)
     assert any(result.nfev == 400 for result in results)
@@ -381,15 +400,18 @@ def test_highest_bit_survives_rounding_past_a_power_of_two():
 
 
 def _assert_batch_ratios_exact(configs: np.ndarray) -> None:
-    scalar = np.array([_config_ratio(config, 1, GF2) for config in configs])
+    """`_batch_ratios` against each configuration scored alone, and against
+    the whole stack's `_best_intervals`."""
+    scalar = np.array([_ratio_alone(config, 1, GF2) for config in configs])
+    births, deaths = _best_intervals(configs, 1, GF2)
     batched = _batch_ratios(configs)
     assert batched.dtype == np.float64 and batched.shape == scalar.shape
-    mismatch = np.flatnonzero(batched != scalar)
+    mismatch = np.flatnonzero((batched != scalar) | (np.fmax(deaths / births, 1.0) != scalar))
     assert len(mismatch) == 0, (configs[mismatch[0]].tolist(), batched[mismatch[0]],
                                 scalar[mismatch[0]])
 
 
-def test_batch_ratios_bit_equal_to_config_ratio():
+def test_batch_ratios_bit_equal_to_each_configuration_alone():
     rng = np.random.default_rng(61)
     for count, p, d in ((20_000, 4, 2), (5000, 5, 2), (5000, 6, 2), (5000, 4, 3),
                         (200, 11, 2)):
@@ -418,6 +440,102 @@ def test_batch_ratios_bit_equal_to_config_ratio():
     _assert_batch_ratios_exact(np.concatenate([t, 2.0 * t, -4.0 * t], axis=2))
     square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     assert _batch_ratios(square[None])[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def _public_best(config: np.ndarray, k: int, field: FieldSpec) -> tuple[float, float]:
+    """The finite degree-k interval of largest death/birth (first in the
+    diagram's order) with birth > 0, from the public diagram of the
+    configuration's complete complex; NaNs if there is none."""
+    cloud = PointCloud(config.shape[1], config)
+    diameter = cloud.diameter()
+    best = (math.nan, math.nan)
+    if diameter == 0.0:
+        return best
+    complex_ = build_cech_filtration(cloud, diameter, k + 1, force=True)
+    for birth, death in compute_persistence(complex_, field).in_dimension(k):
+        if birth > 0.0 and math.isfinite(death):
+            if math.isnan(best[0]) or death / birth > best[1] / best[0]:
+                best = (birth, death)
+    return best
+
+
+def _assert_best_intervals_public(configs: np.ndarray, k: int, field: FieldSpec = GF2) -> None:
+    """Each configuration of the stack gets the public diagram's pair, and the
+    pair it gets scored alone (a batch of one), bit for bit."""
+    births, deaths = _best_intervals(configs, k, field)
+    for config, birth, death in zip(configs, births, deaths):
+        alone = [end[0] for end in _best_intervals(config[None], k, field)]
+        expected = _public_best(config, k, field)
+        assert np.array_equal([birth, death], expected, equal_nan=True), (
+            config.tolist(), (birth, death), expected)
+        assert np.array_equal(alone, expected, equal_nan=True), (config.tolist(), alone)
+
+
+def test_best_intervals_bit_equal_to_the_public_diagram():
+    rng = np.random.default_rng(71)
+    gf3 = FieldSpec(3)
+    for field in (GF2, gf3):
+        _assert_best_intervals_public(rng.random((250, 5, 2)), 1, field)
+    _assert_best_intervals_public(rng.random((60, 8, 2)), 1, gf3)
+    # Dyadic lattice: ties between values and between ratios; with replacement,
+    # duplicated points and edges of value 0.
+    lattice = np.array([(i, j) for i in range(5) for j in range(5)], dtype=np.float64) / 8.0
+    _assert_best_intervals_public(
+        lattice[np.array([rng.choice(25, 5, replace=False) for _ in range(150)])], 1)
+    _assert_best_intervals_public(lattice[rng.integers(0, 25, (100, 5))], 1, gf3)
+    # All points equal (diameter 0), and points exactly on a line.
+    _assert_best_intervals_public(np.full((5, 5, 2), 0.375), 1)
+    t = rng.random((40, 5, 1))
+    _assert_best_intervals_public(np.concatenate([t, 2.0 * t], axis=2), 1)
+    # Fewer than k + 2 points hold no degree-k pair.
+    _assert_best_intervals_public(rng.random((10, 2, 2)), 1)
+    _assert_best_intervals_public(rng.random((10, 3, 3)), 2)
+    # k = 2 in d = 3: the regular octahedron's 2-cycle lives from the
+    # circumradius of its faces, sqrt(2/3), to 1.
+    octahedron = np.concatenate([np.eye(3), -np.eye(3)])
+    births, deaths = _best_intervals(octahedron[None], 2, GF2)
+    assert births[0] == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
+    assert deaths[0] == pytest.approx(1.0, rel=1e-15)
+    cube = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(3)],
+                    dtype=np.float64) / 4.0
+    moved = octahedron + 0.05 * rng.random((20, 6, 3))
+    for field in (GF2, gf3):
+        _assert_best_intervals_public(np.concatenate([octahedron[None], moved]), 2, field)
+        _assert_best_intervals_public(rng.random((40, 6, 3)), 2, field)
+        _assert_best_intervals_public(
+            cube[np.array([rng.choice(27, 6, replace=False) for _ in range(40)])], 2, field)
+
+
+def test_stacked_scoring_is_bounded_by_simplices(monkeypatch):
+    # A search batch goes to the builder and the reducer in calls of at most
+    # as many (k+1)-simplices as _SCORE_CHUNK 4-point configurations hold
+    # triangles, each call reduced in one pass: not one call per configuration.
+    bound = cechlab.witness._SCORE_CHUNK * math.comb(4, 3)
+    built: list[int] = []
+    reduced: list[int] = []
+
+    def build(*args):
+        simplices, facets = filtration._component_filtrations(*args)
+        built.append(len(simplices[-1][1]))
+        return simplices, facets
+
+    def reduce(simplices, q, *args):
+        reduced.append(len(simplices[q][1]))
+        return persistence._pivot_rows(simplices, q, *args)
+
+    monkeypatch.setattr(cechlab.witness, "_component_filtrations", build)
+    monkeypatch.setattr(cechlab.witness, "_pivot_rows", reduce)
+    # theta = 3 is out of reach, so every configuration is scored and none verified.
+    assert search_m(2, 1, 3.0, 16, 100, stream(3), refine=False) is None
+    per_call = bound // math.comb(16, 3)  # 7 configurations of 560 triangles
+    assert built == reduced == [per_call * 560] * (100 // per_call) + [100 % per_call * 560]
+    assert max(built) <= bound
+    built.clear()
+    reduced.clear()
+    assert search_m(2, 1, 3.0, 5, 4096, stream(3), refine=False,
+                    field_spec=FieldSpec(3)) is None
+    assert len(built) == len(reduced) == -(-4096 // (bound // 10)) == 11
+    assert built == reduced and sum(built) == 4096 * 10 and max(built) <= bound
 
 
 def test_search_validation():
@@ -470,10 +588,10 @@ def test_triangle_ratio_shortcut_matches_reduction():
 
 
 def _assert_triangle_ratio_exact(configs: np.ndarray) -> None:
-    """Each triangle scored alone (`_config_ratio`, a batch of one) gets the
+    """Each triangle scored alone (`_ratio_alone`, a batch of one) gets the
     bits it gets in the whole batch: the lockstep refinement relies on it."""
     vectorised = _triangle_persistence_ratios(configs)
-    alone = np.array([_config_ratio(config, 1, GF2) for config in configs])
+    alone = np.array([_ratio_alone(config, 1, GF2) for config in configs])
     mismatch = np.flatnonzero(alone != vectorised)
     assert len(mismatch) == 0, (configs[mismatch[0]].tolist(), alone[mismatch[0]],
                                 vectorised[mismatch[0]])
