@@ -62,8 +62,15 @@ def _field_from(args: argparse.Namespace) -> FieldSpec:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """The manifest's directory: `--out-dir` when given, else the directory of `--out`.
+
+    Both directories are created if missing.
+    """
     primary = getattr(args, "out", None)
-    base = Path(primary).parent if primary else Path(getattr(args, "out_dir", "."))
+    if primary:
+        Path(primary).parent.mkdir(parents=True, exist_ok=True)
+    out_dir = getattr(args, "out_dir", None)
+    base = Path(out_dir) if out_dir is not None else Path(primary).parent if primary else Path(".")
     base.mkdir(parents=True, exist_ok=True)
     return base
 
@@ -447,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="save a found witness here")
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir", default=None,
+                   help="write the manifest here (default: beside --out, else .)")
     p.set_defaults(handler=_cmd_search_m)
 
     for name, handler, extra in (("experiment", _cmd_experiment, "scaling experiment"),

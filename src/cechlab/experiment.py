@@ -11,7 +11,8 @@ process per extra core, and gather the values in trial order, so every
 output is bit-identical to a serial run. Each core's chunk runs as
 consecutive batches of trials. A batch is drawn as one stack of points
 (`sampling._sample_stack`, the draws of `sample_poisson` on each trial's
-stream) and ranked (and, in the audit, counted) by one pass each: the
+stream, whose keys `sampling._streams` derives for the whole batch at once)
+and ranked (and, in the audit, counted) by one pass each: the
 stacked forms of `persistent_bettis` and `subset_counts`. The audit
 makes one neighbour query per batch, at the largest cutoff either pass
 needs, and hands its candidates to both.
@@ -38,7 +39,7 @@ from .errors import AuditError, ConfigurationError
 from .geometry import PointCloud, _batch_sizes, _near_pairs
 from .persistence import GF2, FieldSpec, _persistent_bettis
 from .properties import _reach, _subset_counts, upsilon
-from .sampling import Density, _sample_stack, stream
+from .sampling import Density, _sample_stack, _streams
 
 T = TypeVar("T")
 
@@ -278,8 +279,7 @@ def _collect_row(spec: ExperimentSpec, n_index: int) -> ResultRow:
     cap = spec.max_trials if spec.max_trials is not None else spec.trials
 
     def trials(batch: range) -> list[int]:
-        points, sizes = _sample_stack(n, spec.density,
-                                      (stream(spec.seed, n_index, t) for t in batch))
+        points, sizes = _sample_stack(n, spec.density, _streams(spec.seed, (n_index,), batch))
         return _persistent_bettis(points, sizes, r, spec.theta, spec.k, spec.field).tolist()
 
     values: list[int] = []
@@ -405,8 +405,7 @@ def lower_bound_audit(spec: ExperimentSpec, m: int,
         reach = max(_reach(h), 2.0 * spec.theta * r)  # the isolation test's, and the edges'
 
         def trials(batch: range) -> list[AuditRow]:
-            points, sizes = _sample_stack(n, spec.density,
-                                          (stream(spec.seed, i, t) for t in batch))
+            points, sizes = _sample_stack(n, spec.density, _streams(spec.seed, (i,), batch))
             near = _near_pairs(points, sizes, reach)
             counts = _subset_counts(h, points, sizes, near).tolist()
             ranks = _persistent_bettis(points, sizes, r, spec.theta, spec.k, spec.field,

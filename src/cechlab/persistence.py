@@ -159,25 +159,12 @@ class PersistenceDiagram:
                 writer.writerow([dim, repr(birth), "inf" if math.isinf(death) else repr(death)])
 
 
-def _reduce_gf2(col: int, pivots: dict[int, int], base: int = 0) -> int:
-    """Reduce a GF(2) column against `pivots` and record it; return its pivot row.
-
-    The column is a bitmask whose bit i stands for row base + i; `pivots`
-    maps a pivot row to its reduced column. Returns -1 if the column
-    reduces to zero.
-    """
-    while col:
-        low = base + col.bit_length() - 1
-        pivot = pivots.get(low)
-        if pivot is None:
-            pivots[low] = col
-            return low
-        col ^= pivot
-    return -1
-
-
 def _reduce_gfp(col: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> int:
-    """`_reduce_gf2` over F_p, for a column given as a row -> coefficient dict."""
+    """Reduce an F_p column against `pivots` and record it; return its pivot row.
+
+    The column is a row -> coefficient dict; `pivots` maps a pivot row to its
+    reduced column. Returns -1 if the column reduces to zero.
+    """
     while col:
         low = max(col)
         pivot = pivots.get(low)
@@ -395,7 +382,21 @@ def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: 
         cols = [1 << i for i in local[0]]
         for facet in local[1:]:
             cols = [col | (1 << i) for col, i in zip(cols, facet)]
-        lows = [_reduce_gf2(col, pivots, first) for col, first in zip(cols, base.tolist())]
+        # Reduce each column, a bitmask whose bit i stands for row first + i,
+        # against the reduced columns keyed by their pivot row.
+        lows: list[int] = []
+        pivot_of, note = pivots.get, lows.append
+        for col, first in zip(cols, base.tolist()):
+            while col:
+                low = first + col.bit_length() - 1
+                pivot = pivot_of(low)
+                if pivot is None:
+                    pivots[low] = col
+                    note(low)
+                    break
+                col ^= pivot
+            else:
+                note(-1)
     else:
         signs = [(-1) ** omit % p for omit in range(q + 1)]
         lows = [_reduce_gfp(dict(zip(column, signs)), pivots, p) for column in rows.tolist()]

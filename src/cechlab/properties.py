@@ -544,8 +544,9 @@ def estimate_mu(g: PropertyDescriptor, f: Density, samples: int,
     The descriptor must be normalized to scale r = 1. One point is drawn
     from f (importance sampling for the f^p factor), the other p-1
     uniformly from the locality ball of radius C*p about the origin. The
-    configurations are drawn one sample at a time, in that order, and the
-    indicator is evaluated on all of them in one stacked call.
+    anchors are drawn and weighed first; then the ball draws of each
+    configuration whose anchor has positive density, in that order, and
+    the indicator is evaluated on all of them in one stacked call.
     """
     if g.scale != 1.0:
         raise ValueError(f"estimate_mu expects a descriptor at scale 1, got {g.scale}")
@@ -556,13 +557,14 @@ def estimate_mu(g: PropertyDescriptor, f: Density, samples: int,
     radius = g.diam_factor * p
     weight = ball_volume(d, radius) ** (p - 1) / math.factorial(p)
     anchors = sample_binomial(samples, f, rng).points
-    factors = np.zeros(samples)
+    # Python's float ** int per factor: numpy's array power takes fast paths
+    # (x ** 2 is x * x) that need not round as pow does.
+    factors = np.array([value ** (p - 1) for value in f._values(anchors)])
     configs = np.zeros((samples, p, d))  # the first point of each at the origin
-    for i in range(samples):
-        factors[i] = f(anchors[i]) ** (p - 1)
-        if factors[i] != 0.0 and p > 1:
-            configs[i, 1:] = sample_in_ball(p - 1, d, radius, rng)
     live = factors != 0.0
+    if p > 1:
+        for i in np.flatnonzero(live).tolist():
+            configs[i, 1:] = sample_in_ball(p - 1, d, radius, rng)
     values = np.zeros(samples)
     values[live] = weight * factors[live] * g.holds(configs[live])
     mean = float(values.mean())

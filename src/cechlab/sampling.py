@@ -4,6 +4,12 @@ All randomness flows through numpy's Philox generator, a counter-based
 bit generator that supports cheap stream splitting: `stream(seed, i, t)`
 yields an independent generator for, say, grid index i and trial t, so
 trials can run in any order (or in parallel) and still reproduce.
+A Philox stream is fully given by its 128-bit key, which numpy's
+`SeedSequence` hashes from (seed, i, t). `_streams` is the batch form of
+`stream` for a range of trials: it computes all their keys in one numpy
+pass of that hash, bit for bit `SeedSequence`'s, and hands out one
+generator whose Philox is reset to each trial's key, counter 0 and empty
+buffer in turn, so each trial draws exactly what `stream` would give it.
 Every draw goes through `_sample_stack`, which draws the clouds of many
 trials as one stack of points, each from its own generator;
 `sample_binomial` and `sample_poisson` return its single cloud.
@@ -12,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +37,85 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for the stream addressed by `path` under `seed`."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _streams(seed: int, path: tuple[int, ...], trials: range) -> Iterator[np.random.Generator]:
+    """`stream(seed, *path, t)` for each t in `trials`, as one generator reset before each.
+
+    The generator handed out for trial t draws what `stream(seed, *path, t)`
+    draws, until the next one is pulled; one Philox serves the whole range.
+    """
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    state = bits.state  # counter 0, empty buffer
+    for key in _stream_keys(seed, path, trials):
+        state["state"]["key"] = key
+        bits.state = state
+        yield rng
+
+
+def _stream_keys(seed: int, path: tuple[int, ...], trials: range) -> np.ndarray:
+    """Philox keys of `stream(seed, *path, t)` for t in `trials`, one (2,) uint64 row each.
+
+    Row t is `SeedSequence(seed, spawn_key=(*path, t)).generate_state(2, np.uint64)`.
+    The entropy words are the seed's 32-bit words, padded with zeros to the
+    pool size 4, then each path entry's words and t's, least significant first
+    (0 is one word). Every word but t's is the same for the whole range, so
+    those are hashed into the pool as Python ints and only t's one or two words
+    as uint32 arrays, whose arithmetic wraps as numpy's C code does.
+    """
+    # SeedSequence's constants (O'Neill's seed_seq_fe): the hash of the entropy
+    # into the pool, the mix of two pool words, the hash of the pool into the key.
+    init_a, mult_a, init_b, mult_b = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+    mix_l, mix_r, mask = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+    const = init_a
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult_a & mask
+        value = value * const & mask
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((mix_l * x & mask) - (mix_r * y & mask)) & mask
+        return value ^ value >> 16
+
+    head = _words(seed)
+    head += [0] * (4 - len(head))
+    for p in path:
+        head += _words(p)
+    pool = [hashmix(word) for word in head[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in head[4:]:
+        pool = [mix(x, hashmix(word)) for x in pool]
+    t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    low, high = (t & np.uint64(mask)).astype(np.uint32), (t >> np.uint64(32)).astype(np.uint32)
+    pool = [mix(x, hashmix(low)) for x in pool]
+    two_words = high > 0
+    if two_words.any():
+        pool = [np.where(two_words, mix(x, hashmix(high)), x) for x in pool]
+    out = []
+    const = init_b
+    for x in pool:
+        x = x ^ const
+        const = const * mult_b & mask
+        x = x * const & mask
+        out.append((x ^ x >> 16).astype(np.uint64))
+    return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
+
+
+def _words(value: int) -> list[int]:
+    """A nonnegative `value`'s 32-bit words, least significant first; 0 is the one word 0."""
+    value = int(value)
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
 @dataclass(frozen=True)
@@ -99,6 +184,18 @@ class Density:
             raise ConfigurationError(
                 f"density value {value} exceeds its declared bound {self.bound}")
         return value
+
+    def _values(self, points: np.ndarray) -> list[float]:
+        """The density at each row of `points`, as `self(point)` gives it.
+
+        A uniform box tests all rows at once; a custom evaluator is still
+        called one point at a time.
+        """
+        if self.kind == "uniform-box":
+            lows, highs = np.array(self.box).T
+            inside = ((lows <= points) & (points <= highs)).all(axis=1)
+            return np.where(inside, 1.0 / self.box_volume(), 0.0).tolist()
+        return [self(point) for point in points]
 
     def _onto_box(self, units: np.ndarray) -> np.ndarray:
         """Rows of unit draws in [0, 1)^d mapped onto the box."""

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from cechlab import cli, experiment, filtration, geometry, properties
+import cechlab
+from cechlab import cli, experiment, filtration, geometry, properties, sampling
 from cechlab.errors import AuditError, ConfigurationError
 from cechlab.experiment import (AuditRow, ExperimentSpec, ResultRow, audit_csv, fit_csv,
                                 fit_exponent, lower_bound_audit,
@@ -227,6 +228,37 @@ def test_an_audit_batch_makes_one_neighbour_query(monkeypatch, tmp_path):
     assert queries == [30]
     assert counts.tolist() == [subset_count(upsilon(spec.radius(20.0), 3, 1.0, 1), cloud)
                                for cloud in clouds]
+
+
+def test_trial_batches_draw_through_one_philox_each(monkeypatch, tmp_path):
+    # A batch of trials derives its streams' keys at once and draws through one
+    # Philox; no trial builds a stream of its own.
+    experiment_spec = _small_spec(k=1, n_grid=(20.0, 40.0), trials=23, c=0.6, q=-0.6)
+    audit_spec = _small_spec(n_grid=(6.0, 12.0), trials=30, c=0.35)
+    runs = [(experiment_spec, lambda: results_csv(run_experiment(experiment_spec, m=3))),
+            (audit_spec, lambda: audit_csv(lower_bound_audit(audit_spec, m=3,
+                                                             dump_dir=tmp_path)))]
+    expected = [call() for _, call in runs]
+    streams: list[tuple] = []
+    philox: list[tuple] = []
+    real_philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        philox.append(args)
+        return real_philox(*args, **kwargs)
+
+    for module in (cechlab, sampling, experiment, properties):
+        if hasattr(module, "stream"):
+            monkeypatch.setattr(module, "stream", lambda *path: streams.append(path))
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    _on_cores(monkeypatch, {0})  # one process, so every Philox is counted here
+    monkeypatch.setattr(geometry, "_BATCH_POINTS", 100)
+    for (spec, call), output in zip(runs, expected):
+        philox.clear()
+        assert call() == output
+        batches = sum(len(list(geometry._batch_sizes(spec.trials, n))) for n in spec.n_grid)
+        assert len(philox) == batches > len(spec.n_grid)
+    assert streams == []
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +673,21 @@ def test_cli_witness_and_search(tmp_path):
                      "--p", "3", "--trials", "2000", "--seed", "7",
                      "--out", str(found), "--out-dir", str(tmp_path)]) == 0
     assert found.exists()
+
+
+def test_cli_search_manifest_goes_to_out_dir_when_given(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    search = ["search-m", "--d", "2", "--k", "1", "--theta", "1.0", "--p", "3",
+              "--trials", "500", "--seed", "7"]
+    # With --out-dir, the manifest goes there, and both directories are made.
+    assert cli.main(search + ["--out", "w/found.txt", "--out-dir", "m/deep"]) == 0
+    assert (tmp_path / "w" / "found.txt").exists()
+    assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*.*")) == \
+        ["m/deep/search-m-manifest.json", "w/found.txt"]
+    # With --out alone, it goes beside the witness.
+    assert cli.main(search + ["--out", "v/found.txt"]) == 0
+    assert (tmp_path / "v" / "search-m-manifest.json").exists()
+    assert not (tmp_path / "search-m-manifest.json").exists()
 
 
 def test_cli_mu_and_palm(tmp_path, capsys):

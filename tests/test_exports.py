@@ -58,6 +58,19 @@ def test_modules_import_only_what_they_use():
     assert checked >= 9, checked
 
 
+def test_only_sampling_builds_random_streams():
+    # Every stream is sampling's: `stream` for one, `_streams` for a batch of
+    # trials, whose keys must stay SeedSequence's bit for bit.
+    checked = 0
+    for source in sorted(Path(cechlab.__file__).parent.glob("*.py")):
+        if source.name != "sampling.py":
+            text = source.read_text()
+            for name in ("SeedSequence", "Philox"):
+                assert name not in text, (source.name, name)
+            checked += 1
+    assert checked >= 9, checked
+
+
 # Research entry points that the program itself never calls: the tests (and
 # library users) call them to count, check and diagnose.
 _ENTRY_POINTS = {

@@ -877,7 +877,9 @@ def test_estimate_mu_is_the_per_sample_loop_bit_for_bit():
                                       3000, 163, True),
                                      (conn(1.0, 3), holed, 2000, 167, True),
                                      (zeta(1.0, 3, 1.0, 1), square, 10_000, 173, True),
-                                     (zeta(1.0, 4, 1.2, 1), holed, 2000, 179, False)):
+                                     (zeta(1.0, 4, 1.2, 1), holed, 2000, 179, False),
+                                     (conn(1.0, 3), Density.uniform_box([(0.0, 1.3), (0.0, 0.7)]),
+                                      2000, 181, True)):
         est = estimate_mu(g, f, samples, stream(seed))
         assert (est.value, est.std_error) == _estimate_mu_one_at_a_time(g, f, samples,
                                                                         stream(seed))

@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 from cechlab.errors import ConfigurationError
-from cechlab.sampling import (Density, _sample_stack, sample_binomial, sample_in_ball,
-                              sample_poisson, stream)
+from cechlab.sampling import (Density, _sample_stack, _stream_keys, _streams, sample_binomial,
+                              sample_in_ball, sample_poisson, stream)
 
 
 def test_stream_reproducible_and_split():
@@ -19,6 +19,37 @@ def test_stream_reproducible_and_split():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_batch_keys_are_seed_sequence_keys():
+    # The batch hash is numpy's SeedSequence bit for bit: seeds of one, two
+    # and three words, paths with multi-word entries, and trial numbers
+    # across the one-word limit 2**32, computed without drawing anything.
+    seeds = [0, 1, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**62 - 3, 2**64 - 1, 2**70 + 3]
+    paths = [(), (0,), (3,), (4, 2), (2**33,)]
+    ranges = [range(50), range(2**32 - 2, 2**32 + 2), range(2**64 - 2, 2**64)]
+    for seed in seeds:
+        for path in paths:
+            for trials in ranges:
+                keys = _stream_keys(seed, path, trials)
+                assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
+                expected = [np.random.SeedSequence(entropy=seed, spawn_key=(*path, t))
+                            .generate_state(2, np.uint64) for t in trials]
+                assert keys.tolist() == np.array(expected).tolist(), (seed, path, trials)
+    assert _stream_keys(3, (1,), range(0)).shape == (0, 2)
+
+
+def test_batch_streams_draw_what_stream_draws():
+    # One generator serves the whole range, reset before each trial; every
+    # kind of draw, including the 32-bit ones Philox buffers, is stream()'s.
+    def draws(rng):
+        return (rng.random(3).tobytes(), int(rng.poisson(4.5)),
+                rng.integers(0, 2**32, 5, dtype=np.uint32).tobytes(),
+                rng.standard_normal(2).tobytes())
+
+    batch = list(map(draws, _streams(17, (2,), range(5, 45))))
+    assert batch == [draws(stream(17, 2, t)) for t in range(5, 45)]
+    assert len({id(rng) for rng in _streams(17, (2,), range(4))}) == 1
 
 
 def test_density_validation():
@@ -36,6 +67,20 @@ def test_uniform_density_evaluates():
     f = Density.uniform_box([(-1.0, 1.0), (-1.0, 1.0)])
     assert f(np.array([0.0, 0.0])) == pytest.approx(0.25)
     assert f(np.array([2.0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("density", [
+    Density.uniform_box([(-1.0, 1.0), (0.0, 0.5)]),
+    Density.custom([(-1.0, 1.0), (0.0, 0.5)], bound=2.0,
+                   evaluator=lambda x: 1.0 + float(x[0]) if x[1] < 0.4 else 0.0),
+], ids=["box", "custom"])
+def test_stacked_density_values_are_the_pointwise_values(density):
+    # Corners and edges of the box count as inside, as the pointwise test has it.
+    points = np.array([[0.0, 0.25], [-1.0, 0.0], [1.0, 0.5], [1.0 + 1e-12, 0.25],
+                       [0.3, -1e-300], [-0.7, 0.45], [5.0, 5.0]])
+    values = density._values(points)
+    assert values == [density(point) for point in points]
+    assert all(type(value) is float for value in values)
 
 
 def test_binomial_exact_count_and_support():
@@ -131,6 +176,40 @@ def test_custom_density_without_mass_fails_fast():
     assert len(cloud) == 30 and cloud.points.max() < 0.01
 
 
+@pytest.mark.parametrize("density", [
+    Density.unit_cube(2),
+    Density.custom([(0.0, 1.0), (-1.0, 1.0)], bound=2.0,
+                   evaluator=lambda x: 2.0 * float(x[0])),
+], ids=["unit-square", "custom"])
+def test_the_stack_draws_each_cloud_before_it_pulls_the_next_generator(density):
+    # The batch form resets one generator when the next trial's is pulled, so
+    # a trial's anchors, count and points must all be drawn before that pull.
+    events = []
+
+    class Logged:
+        def __init__(self, rng, t):
+            self.rng, self.t = rng, t
+
+        def __getattr__(self, name):
+            def logged(*args, **kwargs):
+                events.append((self.t, name))
+                return getattr(self.rng, name)(*args, **kwargs)
+            return logged
+
+    def pulled():
+        for t, rng in enumerate(_streams(42, (0,), range(30))):
+            events.append((t, "pull"))
+            yield Logged(rng, t)
+
+    _, sizes = _sample_stack(7.5, density, pulled(), anchors=2)
+    assert [t for t, _ in events] == sorted(t for t, _ in events)
+    pulls = [i for i, (_, name) in enumerate(events) if name == "pull"]
+    assert [events[i][0] for i in pulls] == list(range(30))
+    for t, (start, end) in enumerate(zip(pulls, pulls[1:] + [len(events)])):
+        names = [name for _, name in events[start + 1:end]]
+        assert "poisson" in names and "random" in names, (t, names)
+
+
 def _raw_points(count, density, rng):
     """`count` points of the density drawn with numpy alone: uniform on the box, or by rejection."""
     lows, highs = np.array(density.box).T
@@ -198,6 +277,18 @@ def test_stacked_draw_is_the_per_trial_draw(density):
                 assert sizes == [0] * 60
             if intensity == 0.3:
                 assert 0 in sizes and max(sizes) > 0
+        # The batch form: one generator, reset to each trial's key in turn.
+        streams = [stream(40, case, t) for t in range(60)]
+        points, sizes = _sample_stack(intensity, density, _streams(40, (case,), range(60)),
+                                      anchors=anchors)
+        clouds = _per_trial(intensity, density, streams, anchors)
+        assert sizes == [len(cloud) for cloud in clouds]
+        assert points.tobytes() == np.concatenate(clouds).tobytes()
+        for rng, cloud in zip(_streams(40, (case,), range(60)), clouds):
+            parts = [sample_binomial(anchors, density, rng).points]
+            if intensity is not None:
+                parts.append(sample_poisson(intensity, density, rng).points)
+            assert np.concatenate(parts).tobytes() == cloud.tobytes()
     with pytest.raises(ValueError):
         _sample_stack(-1.0, density, [stream(1)])
     with pytest.raises(ConfigurationError):
