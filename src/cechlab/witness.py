@@ -23,7 +23,11 @@ triangles (`_triangle_persistence_ratios`), and `_batch_ratios` for 4 to
 11 points over GF(2), a GF(2) reduction of the triangle columns as int64
 bitmasks over edge ranks, bit-equal to `_best_intervals`. Other fields
 need the reducer: from 6 points on, a complex can hold a triangulated
-projective plane, whose H_1 depends on the field.
+projective plane, whose H_1 depends on the field. A search scores each
+batch one chunk at a time (`_SCORE_CHUNK` configurations for
+`_batch_ratios`, `_stack_chunk` for the stacked scorer) and verifies each
+chunk's hits before it scores the next, so it stops at the first chunk
+that yields a witness.
 
 Each batch's best configuration is refined by `_nelder_mead`, which runs
 scipy's Nelder-Mead step for step on many starts at once, so witnesses
@@ -297,12 +301,25 @@ def _triangle_persistence_ratios(configs: np.ndarray) -> np.ndarray:
 # Largest configuration `_batch_ratios` scores: its C(11, 2) = 55 edge ranks
 # are the bits of an int64 column.
 _BATCH_MAX_POINTS = 11
-# Configurations `search_m` hands `_batch_ratios` at once. At 4 points the
-# scorer's arrays then take about 0.3 MB; scoring whole 4096-configuration
-# batches saves about 5 ms per batch but adds about 0.9 MB to the peak RSS
-# of a 4-point search. It also bounds the (k+1)-simplices `_best_intervals`
-# builds at once.
+# Configurations `search_m` hands `_batch_ratios` at once, and the step at
+# which it stops scoring a batch: it verifies each chunk's hits before it
+# scores the next chunk. At 4 points the scorer's arrays take about 0.3 MB
+# per chunk. A 4-point batch at theta = 1.2 holds about 26 hits, so its
+# first chunk nearly always yields the witness.
 _SCORE_CHUNK = 1024
+# Simplices of any one dimension that `_best_intervals` builds in one call:
+# as many as `_SCORE_CHUNK` 4-point configurations hold triangles.
+_STACK_SIMPLICES = _SCORE_CHUNK * math.comb(4, 3)
+
+
+def _stack_chunk(p: int, k: int) -> int:
+    """Configurations of p points in one `_best_intervals` call at degree k.
+
+    Each of dimensions 0..k+1 stays within `_STACK_SIMPLICES`: the budget
+    is divided by the largest per-dimension simplex count of one
+    configuration, C(p, j+1) at dimension j. At least one configuration.
+    """
+    return max(1, _STACK_SIMPLICES // max(math.comb(p, j + 1) for j in range(k + 2)))
 
 
 def _best_intervals(configs: np.ndarray, k: int,
@@ -316,12 +333,13 @@ def _best_intervals(configs: np.ndarray, k: int,
     one `_pivot_rows` pass over the (k+1)-columns in value order gives
     exactly each diagram's finite degree-k pairs. A pair counts if birth > 0
     and death > birth; ratio ties go to the smallest (birth, death). Returns
-    births and deaths, NaN where no pair counts. A call builds at most as
-    many (k+1)-simplices as `_SCORE_CHUNK` 4-point configurations hold
-    triangles (or one configuration), so its memory does not grow with m.
+    births and deaths, NaN where no pair counts. A stack of more than
+    `_stack_chunk(p, k)` configurations is scored in calls of that many,
+    so no call builds more than `_STACK_SIMPLICES` simplices of any one
+    dimension (or one configuration's) and memory does not grow with m.
     """
     m, p, d = configs.shape
-    per_call = max(1, _SCORE_CHUNK * math.comb(4, 3) // max(1, math.comb(p, k + 2)))
+    per_call = _stack_chunk(p, k)
     if m > per_call:
         parts = [_best_intervals(configs[i:i + per_call], k, field_spec)
                  for i in range(0, m, per_call)]
@@ -535,6 +553,16 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
     and batches of 4 to 11 points over GF(2) by one vectorised GF(2) pass
     (`_batch_ratios`), bit-equal to the stacked scorer.
 
+    A batch is drawn whole and scored one chunk at a time: `_SCORE_CHUNK`
+    configurations for `_batch_ratios`, `_stack_chunk(p, k)` for the stacked
+    scorer, the whole batch for triangles. A chunk's hits are verified in
+    index order before the next chunk is scored, and the first verified
+    one is returned, so the later chunks of that batch are never scored.
+    Scores are per configuration and the draw is per batch, so the witness,
+    the None and the generator's state are those of scoring the whole
+    batch first. A batch with no witness is scored whole before its start
+    is taken.
+
     The local search is `_nelder_mead`, scipy's Nelder-Mead step for step.
     The triangle search refines all its batches together: it keeps each
     batch's start, with the generator's state after that batch's draw, and
@@ -552,6 +580,7 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
         raise ValueError(f"persistence factor must satisfy theta >= 1, got {theta}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    batch = 4096
     triangles = k == 1 and p == 3
 
     def score(configs: np.ndarray) -> np.ndarray:
@@ -559,6 +588,14 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
             return _triangle_persistence_ratios(configs)
         births, deaths = _best_intervals(configs, k, field_spec)
         return np.fmax(deaths / births, 1.0)  # 1.0 where no pair counts (NaN)
+
+    # The batch scorer and the configurations it scores at once.
+    if triangles:
+        scorer, chunk = score, batch
+    elif k == 1 and field_spec.characteristic == 2 and 4 <= p <= _BATCH_MAX_POINTS:
+        scorer, chunk = _batch_ratios, _SCORE_CHUNK
+    else:
+        scorer, chunk = score, _stack_chunk(p, k)
 
     def objective(xs: np.ndarray) -> np.ndarray:
         return -score(xs.reshape(-1, p, d))
@@ -576,26 +613,23 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
                 return witness
         return None
 
-    batch = 4096
     done = 0
     while done < trials:
         count = min(batch, trials - done)
         configs = rng.random((count, p, d))
-        if k == 1 and field_spec.characteristic == 2 and 4 <= p <= _BATCH_MAX_POINTS:
-            ratios = np.concatenate([_batch_ratios(configs[i:i + _SCORE_CHUNK])
-                                     for i in range(0, count, _SCORE_CHUNK)])
-        else:
-            ratios = score(configs)
-        hits = np.flatnonzero(ratios > theta)
-        # Earlier batches' refinements come before this batch's candidates.
-        if hits.size and pending:
-            witness = refine_pending()
-            if witness is not None:
-                return witness
-        for i in hits:
-            witness = _witness_from_config(configs[i], d, k, theta, field_spec)
-            if witness is not None:
-                return witness
+        ratios = np.empty(count)
+        for lo in range(0, count, chunk):
+            ratios[lo:lo + chunk] = scorer(configs[lo:lo + chunk])
+            hits = lo + np.flatnonzero(ratios[lo:lo + chunk] > theta)
+            # Earlier batches' refinements come before this batch's candidates.
+            if hits.size and pending:
+                witness = refine_pending()
+                if witness is not None:
+                    return witness
+            for i in hits:
+                witness = _witness_from_config(configs[i], d, k, theta, field_spec)
+                if witness is not None:
+                    return witness
         if refine:
             # A copy: a view would keep the whole batch alive while it waits.
             start = configs[int(ratios.argmax())].reshape(-1).copy()

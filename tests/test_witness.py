@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from cechlab.persistence import GF2, FieldSpec, compute_persistence, persistent_
 from cechlab.sampling import sample_in_ball, stream
 from cechlab.witness import (CycleWitness, MBracket, _batch_ratios,
                              _best_intervals, _highest_bit,
-                             _nelder_mead, _triangle_persistence_ratios,
+                             _nelder_mead, _stack_chunk, _triangle_persistence_ratios,
                              _witness_from_config, bracket_m,
                              construct_witness, perturb_and_verify,
                              perturbation_radius, search_m)
@@ -255,7 +256,8 @@ _TRIANGLE_TOP = 2.0 / math.sqrt(3.0)
 _TRIANGLE_STOPS = {(2, 3): 4, (3, 3): 2, (5, 3): 6, (1, 3): 1}
 # The cases below that are not k = 1 over GF(2), by path: (k, field). They
 # score every batch and every refinement step as a stack (`_best_intervals`).
-_STACKED_SEARCHES = {(9, 1): (1, FieldSpec(3)), (11, 2): (2, GF2), (11, 3): (2, GF2)}
+_STACKED_SEARCHES = {(9, 1): (1, FieldSpec(3)), (11, 2): (2, GF2), (11, 3): (2, GF2),
+                     (9, 2, 0): (1, FieldSpec(3)), (11, 4, 5): (2, GF2)}
 
 
 @pytest.mark.parametrize("d, theta, p, trials, path", [
@@ -273,6 +275,12 @@ _STACKED_SEARCHES = {(9, 1): (1, FieldSpec(3)), (11, 2): (2, GF2), (11, 3): (2, 
     (2, 1.4, 5, 8192, (9, 1)),
     (3, 1.055, 4, 8192, (11, 2)),
     (3, 1.07, 4, 3000, (11, 3)),  # empty: above the regular tetrahedron's sqrt(9/8)
+    # The first batch's first hit lies past the first scored chunk: at index
+    # 1538 of _batch_ratios' chunks of 1024, 1078 of the GF(3) 5-point
+    # stacks of 409 and 880 of the k = 2 4-point stacks of 682.
+    (2, 1.3, 4, 4096, (4, 1, 6)),
+    (2, 1.3, 5, 4096, (9, 2, 0)),
+    (3, 1.04, 4, 4096, (11, 4, 5)),
 ])
 def test_batched_search_returns_the_scalar_witness(d, theta, p, trials, path):
     k, field = _STACKED_SEARCHES.get(path, (1, GF2))
@@ -508,15 +516,16 @@ def test_best_intervals_bit_equal_to_the_public_diagram():
 
 def test_stacked_scoring_is_bounded_by_simplices(monkeypatch):
     # A search batch goes to the builder and the reducer in calls of at most
-    # as many (k+1)-simplices as _SCORE_CHUNK 4-point configurations hold
-    # triangles, each call reduced in one pass: not one call per configuration.
+    # as many simplices of any one dimension as _SCORE_CHUNK 4-point
+    # configurations hold triangles, each call reduced in one pass: not one
+    # call per configuration.
     bound = cechlab.witness._SCORE_CHUNK * math.comb(4, 3)
     built: list[int] = []
     reduced: list[int] = []
 
     def build(*args):
         simplices, facets = filtration._component_filtrations(*args)
-        built.append(len(simplices[-1][1]))
+        built.append(max(len(values) for _, values in simplices))
         return simplices, facets
 
     def reduce(simplices, q, *args):
@@ -536,6 +545,52 @@ def test_stacked_scoring_is_bounded_by_simplices(monkeypatch):
                     field_spec=FieldSpec(3)) is None
     assert len(built) == len(reduced) == -(-4096 // (bound // 10)) == 11
     assert built == reduced and sum(built) == 4096 * 10 and max(built) <= bound
+    # k = 2 on 4 points: the edges, 6 a configuration, set the budget, not
+    # the one tetrahedron.
+    built.clear()
+    reduced.clear()
+    assert search_m(3, 2, 3.0, 4, 4096, stream(3), refine=False) is None
+    assert built == [682 * 6] * 6 + [4 * 6] and max(built) <= bound
+    assert reduced == [682] * 6 + [4]
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees during call(), after one untraced warm-up."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stacked_k2_chunk_peaks_no_higher_than_a_k1_chunk():
+    # One search chunk of 4-point configurations in d = 3, as search_m hands
+    # it to _best_intervals: k = 2 builds the k = 1 complex plus one
+    # tetrahedron a configuration. The peak falls in the shared triangle
+    # stage, so the two differ by the few hundred bytes of the tetrahedra's
+    # bookkeeping; 1% covers that. A budget on the tetrahedra alone would
+    # put all 4096 configurations of a batch in one call, about 6 times
+    # the peak.
+    configs = stream(5).random((4096, 4, 3))
+    peaks = {k: _traced_peak(lambda k=k: _best_intervals(configs[:_stack_chunk(4, k)], k, GF2))
+             for k in (1, 2)}
+    assert peaks[2] <= 1.01 * peaks[1], peaks
+
+
+def test_four_point_search_stops_at_the_first_chunk(monkeypatch):
+    # The benchmark's 4-point search: its witness lies in the first chunk
+    # of its first batch, so the other three chunks are never scored.
+    calls: list[int] = []
+
+    def counted(configs):
+        calls.append(len(configs))
+        return _batch_ratios(configs)
+
+    monkeypatch.setattr(cechlab.witness, "_batch_ratios", counted)
+    witness = search_m(2, 1, 1.2, 4, 65_536, stream(0, 4, 0))
+    assert witness is not None and calls == [cechlab.witness._SCORE_CHUNK]
 
 
 def test_search_validation():
@@ -545,6 +600,20 @@ def test_search_validation():
         search_m(2, 1, 1.1, 3, 0, stream(1))
     with pytest.raises(ValueError):
         search_m(0, 1, 1.1, 3, 100, stream(1))
+
+
+def test_bracket_m_is_the_scalar_searches_in_turn():
+    # An empty 3-point search, then a 4-point one on the same generator.
+    rng, replay_rng = stream(6, 2), stream(6, 2)
+    bracket = bracket_m(2, 1, 1.2, 8192, rng, max_arity=4)
+    assert _scalar_search(2, 1, 1.2, 3, 8192, replay_rng) is None
+    scalar = _scalar_search(2, 1, 1.2, 4, 8192, replay_rng)
+    assert bracket is not None and scalar is not None
+    assert (bracket.upper, bracket.lower_searched) == (4, 3)
+    assert bracket.witness.points.points.tobytes() == scalar.points.points.tobytes()
+    assert (bracket.witness.r, bracket.witness.R, bracket.witness.verified_rank) == (
+        scalar.r, scalar.R, scalar.verified_rank)
+    assert rng.random(8).tobytes() == replay_rng.random(8).tobytes()
 
 
 def test_bracket_m_reports_upper_and_lower():
