@@ -32,9 +32,12 @@ that yields a witness.
 Each batch's best configuration is refined by `_nelder_mead`, which runs
 scipy's Nelder-Mead step for step on many starts at once, so witnesses
 do not depend on the installed scipy; scipy's `minimize` is only the
-tests' oracle. The triangle search refines all its batches' starts in one
-lockstep, scored in closed form. Every other case refines each batch's
-start as it comes, scored by `_best_intervals`.
+tests' oracle. A search refines nothing where no configuration can score
+above theta: fewer than k+2 points hold no degree-k cycle, and no
+triangle's cycle lives past 2/sqrt(3) times its birth. There it only
+draws and scans its batches. Otherwise the triangle search refines its
+batches' starts in one lockstep, scored in closed form, and every other
+case refines each batch's start as it comes, scored by `_best_intervals`.
 """
 from __future__ import annotations
 
@@ -47,8 +50,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _batch_sizes, _format_cloud, _parse_cloud, _rows_dist2,
-                       _triangle_radii)
+from .geometry import (_EPS, PointCloud, _batch_sizes, _format_cloud, _parse_cloud,
+                       _rows_dist2, _triangle_radii)
 from .filtration import _component_filtrations
 from .persistence import FieldSpec, GF2, _persistent_bettis, _pivot_rows, persistent_betti
 from .properties import _gaps, _pairs
@@ -280,9 +283,12 @@ def _triangle_persistence_ratios(configs: np.ndarray) -> np.ndarray:
 
     The cycle of a triangle is born once all edges are present (half the
     longest side) and dies at the miniball radius: the circumradius for
-    acute triangles, half the longest side otherwise (ratio 1). Every
-    operation is elementwise, so a triangle's ratio does not depend on the
-    batch it is scored in.
+    acute triangles, half the longest side otherwise (ratio 1). An acute
+    triangle's circumradius is c / (2 sin C), where c is its longest side and
+    C in [60, 90) degrees its largest angle, so no ratio exceeds
+    1 / sin 60 = 2/sqrt(3), the equilateral triangle's. Every operation is
+    elementwise, so a triangle's ratio does not depend on the batch it is
+    scored in.
     """
     a2 = _rows_dist2(configs[:, 0], configs[:, 1])
     b2 = _rows_dist2(configs[:, 0], configs[:, 2])
@@ -291,8 +297,8 @@ def _triangle_persistence_ratios(configs: np.ndarray) -> np.ndarray:
     s2 = a2 + b2 + c2
     acute = longest2 < s2 - longest2
     # circumradius^2 = a^2 b^2 c^2 / (16 * area^2) via Heron's formula
-    area16 = np.maximum(4.0 * (a2 * b2 + b2 * c2 + c2 * a2) - s2 * s2, 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
+        area16 = np.maximum(4.0 * (a2 * b2 + b2 * c2 + c2 * a2) - s2 * s2, 1e-300)
         circum2 = a2 * b2 * c2 / area16
         ratio2 = np.where(acute, 4.0 * circum2 / longest2, 1.0)
     return np.sqrt(ratio2)
@@ -564,15 +570,22 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
     is taken.
 
     The local search is `_nelder_mead`, scipy's Nelder-Mead step for step.
-    The triangle search refines all its batches together: it keeps each
-    batch's start, with the generator's state after that batch's draw, and
-    refines the kept starts in one lockstep at the end, or before a later
-    batch's sampled candidates are verified. A witness among them puts the
-    generator back to its batch's state, so the witness, the None and the
-    generator's state are those of refining each batch as it comes. Every
-    other case refines each batch's start as it comes, scored by
-    `_best_intervals`: deferring it would score every later batch before
-    an early refinement's witness could return.
+    It is skipped where it cannot return a witness, because no configuration
+    scores above theta: p < k+2, where no degree-k cycle fits, and
+    triangles (k = 1, p = 3) at theta above 2/sqrt(3), the equilateral
+    triangle's ratio (`_triangle_persistence_ratios`), by more than the
+    relative slack `geometry._EPS` for the closed form's rounding. Those
+    searches still draw, score and scan every batch, so their None and the
+    generator's state are those of refining. Otherwise the triangle search
+    refines its batches together: it keeps each batch's start, with the
+    generator's state after that batch's draw, and refines the kept starts
+    in one lockstep at the end, or before a later batch's sampled candidates
+    are verified. A witness among them puts the generator back to its
+    batch's state, so the witness, the None and the generator's state are
+    those of refining each batch as it comes. Every other case refines each
+    batch's start as it comes, scored by `_best_intervals`: deferring it
+    would score every later batch before an early refinement's witness
+    could return.
     """
     if d < 1 or k < 1 or p < 1:
         raise ValueError(f"invalid search parameters d={d}, k={k}, p={p}")
@@ -596,6 +609,10 @@ def search_m(d: int, k: int, theta: float, p: int, trials: int,
         scorer, chunk = _batch_ratios, _SCORE_CHUNK
     else:
         scorer, chunk = score, _stack_chunk(p, k)
+
+    # No start is kept where no configuration can score above theta.
+    refine = refine and p >= k + 2 and not (
+        triangles and theta > 2.0 / math.sqrt(3.0) * (1.0 + _EPS))
 
     def objective(xs: np.ndarray) -> np.ndarray:
         return -score(xs.reshape(-1, p, d))

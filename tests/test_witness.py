@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -591,6 +592,69 @@ def test_four_point_search_stops_at_the_first_chunk(monkeypatch):
     monkeypatch.setattr(cechlab.witness, "_batch_ratios", counted)
     witness = search_m(2, 1, 1.2, 4, 65_536, stream(0, 4, 0))
     assert witness is not None and calls == [cechlab.witness._SCORE_CHUNK]
+
+
+def test_searches_that_cannot_pass_theta_refine_nothing(monkeypatch):
+    calls: list[int] = []
+
+    def counted(objective, starts, **options):
+        calls.append(len(starts))
+        return _nelder_mead(objective, starts, **options)
+
+    monkeypatch.setattr(cechlab.witness, "_nelder_mead", counted)
+    # Triangles above 2/sqrt(3), two points for k = 1 and three for k = 2.
+    for d, k, theta, p, trials in [(2, 1, 1.2, 3, 3 * 4096 + 100), (2, 1, 1.4, 3, 2 * 4096),
+                                   (2, 1, 1.1, 2, 4096 + 300), (3, 2, 1.1, 3, 4096 + 50)]:
+        rng, position = stream(5, k, p), stream(5, k, p)
+        assert search_m(d, k, theta, p, trials, rng) is None
+        # Every batch is still drawn, and nothing else moves the generator.
+        for lo in range(0, trials, 4096):
+            position.random((min(4096, trials - lo), p, d))
+        assert rng.random(8).tobytes() == position.random(8).tobytes()
+    assert calls == []
+    # Just below the top, the refinement is what finds the witness.
+    assert search_m(2, 1, _TRIANGLE_TOP - 6e-7, 3, 6 * 4096, stream(3, 3)) is not None
+    assert calls
+
+
+# The relative slack above 2/sqrt(3) within which `search_m` still refines triangles.
+_TRIANGLE_BOUND = _TRIANGLE_TOP * (1.0 + geometry._EPS)
+
+
+def test_no_triangle_scores_above_the_equilateral_one():
+    rng = np.random.default_rng(41)
+    equilateral = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
+    worst = 0.0
+    for d in (2, 3):
+        flat = np.zeros((1000, 3, d))
+        flat[:, :, :2] = equilateral
+        for scale in 10.0 ** np.arange(-8, 9):
+            for wobble in (0.0, 1e-12, 1e-8, 1e-6, 1e-4):
+                turn, _ = np.linalg.qr(rng.standard_normal((1000, d, d)))
+                shift = rng.uniform(-10.0, 10.0, (1000, 1, d))
+                configs = (flat @ turn + rng.uniform(-wobble, wobble, flat.shape) + shift) * scale
+                worst = max(worst, _triangle_persistence_ratios(configs).max())
+    assert _TRIANGLE_TOP * (1.0 - 1e-12) < worst <= _TRIANGLE_BOUND
+    # The refinement's every evaluation, from random starts, stays below it too.
+    evaluated = [0.0]
+
+    def objective(xs: np.ndarray) -> np.ndarray:
+        values = _triangle_objective(xs)
+        evaluated[0] = max(evaluated[0], -values.min())
+        return values
+
+    for d in (2, 3):
+        x, fun = _nelder_mead(objective, rng.random((200, 3 * d)))
+        assert -fun.min() <= _TRIANGLE_BOUND
+    assert evaluated[0] <= _TRIANGLE_BOUND
+
+
+def test_triangle_ratios_of_huge_coordinates_warn_nothing():
+    huge = 1e100 * np.random.default_rng(43).random((200, 3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratios = _triangle_persistence_ratios(huge)
+    assert len(ratios) == 200
 
 
 def test_search_validation():
