@@ -388,7 +388,10 @@ def lower_bound_audit(spec: ExperimentSpec, m: int,
     sampled as one stack, its pairs are found by one neighbour query at the
     largest cutoff either side needs, and it is counted as `subset_counts`
     and ranked as `persistent_bettis` would, each side keeping the pairs
-    that pass its own test; then it is checked in trial order. The audit
+    that pass its own test; then it is checked in trial order. At
+    m = k+2 that cutoff is the isolation test's and the Cech edges'
+    2*theta*r, since `zeta`'s locality radius there is 2r; above k+2 it is
+    `zeta`'s 2*theta*r*m. The audit
     stops at the first violation or error in trial order, as a serial loop
     would.
     """

@@ -82,6 +82,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .filtration import FilteredComplex, _component_filtrations, _edge_pairs
 from .geometry import PointCloud, _labels, _stacked
 
@@ -94,6 +95,16 @@ __all__ = [
     "persistent_betti",
     "persistent_bettis",
 ]
+
+
+# The widest reduction `_pivot_rows` starts: its columns' widths summed, each
+# column as wide as its component's rows (a GF(2) column is a bitmask over
+# them). 2**32 bits is 512 MiB of bitmasks. One cloud of d = 2, c = 1.75,
+# q = -0.55, theta = 1.4 on [-1, 1]^2 at n = 1e4 needs 1.87e9 bits (51,273
+# columns over a 36,553-row component) and ranks in 0.5 s at a peak RSS of
+# 385 MB (one core of a 2-core x86 machine); at n = 1e5 it needs 9.6e10. The
+# figure-1 batches need at most 1.8e7, criterion 10b's at theta = 1.2 at most 4e7.
+_MAX_COLUMN_BITS = 2 ** 32
 
 
 def _is_prime(n: int) -> bool:
@@ -362,18 +373,29 @@ def _pivot_rows(simplices: list[tuple[np.ndarray, np.ndarray]], q: int, labels: 
     a column is a bitmask over its component's rows; pivots are keyed by
     global row. Returns, for the columns that do not reduce to zero, their
     pivot rows as indices into the (q-1)-simplices and the columns as
-    indices into the q-simplices, as two arrays.
+    indices into the q-simplices, as two arrays. Raises ConfigurationError,
+    before any column is built, when the columns' widths, each its
+    component's row count, sum to more than `_MAX_COLUMN_BITS`: a giant
+    component, whose columns grow as columns x rows.
     """
     faces, values = simplices[q - 1]
     component = labels[faces[:, 0]]
+    sizes = np.bincount(component)
+    lead = simplices[q][0][columns, 0]  # a vertex of each column, for its component
+    widths = sizes[labels[lead]]
+    if widths.sum() > _MAX_COLUMN_BITS:
+        largest = labels[lead[np.argmax(widths)]]
+        raise ConfigurationError(
+            f"the reduction of {len(columns)} columns needs {int(widths.sum())} bits, above "
+            f"the cap of {_MAX_COLUMN_BITS}; its largest component holds "
+            f"{int(np.count_nonzero(labels == largest))} points and {int(widths.max())} "
+            f"rows: the graph at the outer radius percolates")
     order = np.lexsort((values, component))
     row = np.empty(len(order), dtype=np.intp)
     row[order] = np.arange(len(order))
-    lead = simplices[q][0][columns, 0]  # a vertex of each column, for its component
     rows = row[facets[columns]]
     pivots: dict = {}
     if p == 2:
-        sizes = np.bincount(component)
         base = (np.cumsum(sizes) - sizes)[labels[lead]]
         # Columns are built facet by facet, one list of ints per facet: a small
         # list per column made this loop up to twice as slow on a batch of

@@ -4,7 +4,11 @@ A property descriptor carries an arity p, a scale r and a locality
 factor C with the guarantee: indicator(Y) = 1 implies diam(Y) <= C*r*p.
 That bound is what makes counting tractable: every qualifying p-subset
 of a cloud is a clique of the geometric graph at scale C*r*p, so no
-count evaluates a property outside those cliques.
+count evaluates a property outside those cliques. The tighter the
+bound, the fewer the candidates: `zeta` at p <= k+2 points declares its
+exact locality, 2r (C = 2/p, with the neighbour layer's relative slack),
+since a k-cycle on k+2 points needs every pair as an edge of Cech_r; above
+k+2 points it declares 2*theta*r*p.
 
 Scale conventions. Connectivity-flavored properties (`conn`, `comp`)
 look at components of the union of r-balls, so two points interact up
@@ -53,8 +57,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (PointCloud, _batch_sizes, _labels, _near_pairs, _next_cliques,
-                       _rows_dist2, _stacked, ball_volume)
+from .geometry import (_QUERY_SLACK, PointCloud, _batch_sizes, _labels, _near_pairs,
+                       _next_cliques, _rows_dist2, _stacked, ball_volume)
 from .persistence import FieldSpec, GF2, _persistent_bettis
 from .sampling import Density, _sample_stack, sample_binomial, sample_in_ball
 
@@ -356,15 +360,24 @@ def zeta(r: float, p: int, theta: float, k: int,
          field_spec: FieldSpec = GF2) -> PropertyDescriptor:
     """Y alone supports a degree-k cycle alive from radius r through theta*r.
 
-    The indicator also enforces diam(Y) <= 2*theta*r*p. Minimal cycles
-    are connected at scale 2r, so the clamp never rejects them; it only
-    keeps the property local for arities above the minimum.
+    The indicator also clamps the diameter at the locality radius, and
+    ranks only the configurations within it. For p <= k+2 that radius is
+    2r, with the neighbour layer's relative slack (`geometry._QUERY_SLACK`)
+    so that a pair at exactly 2r stays in: over any field a nonzero k-cycle
+    on k+2 points is a multiple of the boundary of their (k+1)-simplex, so
+    it needs all k+2 of its k-faces in Cech_r, and with them every pair as
+    an edge, within 2r; fewer points carry no k-cycle. For p > k+2 it is
+    2*theta*r*p: a persistent cycle that needs all p points is connected
+    at 2*theta*r. Either way the clamp rejects no configuration that holds.
     """
     if theta < 1.0:
         raise ValueError(f"persistence factor must satisfy theta >= 1, got {theta}")
     if k < 1:
         raise ValueError(f"cycle degree must be at least 1, got {k}")
-    cap = 2.0 * theta * r * p
+    if p < 1:
+        raise ValueError(f"arity must be at least 1, got {p}")
+    factor = 2.0 / p * _QUERY_SLACK if p <= k + 2 else 2.0 * theta
+    cap = factor * r * p  # `locality_radius()`, in its order of operations
 
     first, second = _pairs(p)
 
@@ -385,7 +398,7 @@ def zeta(r: float, p: int, theta: float, k: int,
         return held
 
     return PropertyDescriptor(name=f"zeta[k={k},theta={theta:g}]", arity=p, scale=r,
-                              diam_factor=2.0 * theta, indicator=indicator)
+                              diam_factor=factor, indicator=indicator)
 
 
 def upsilon(r: float, p: int, theta: float, k: int,

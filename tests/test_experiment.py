@@ -230,6 +230,31 @@ def test_an_audit_batch_makes_one_neighbour_query(monkeypatch, tmp_path):
                                for cloud in clouds]
 
 
+@pytest.mark.parametrize("d, k, m, theta", [(2, 1, 3, 1.0), (2, 1, 3, 1.1), (2, 1, 4, 1.4),
+                                           (3, 2, 4, 1.0), (3, 2, 5, 1.05)])
+def test_an_audit_queries_at_its_cycles_locality(monkeypatch, tmp_path, d, k, m, theta):
+    # A cycle on m = k+2 points needs every pair within 2r, so the one query of
+    # each batch runs at the isolation cutoff 2*theta*r; above k+2 points it
+    # runs at zeta's 2*theta*r*m.
+    spec = ExperimentSpec(d=d, k=k, theta=theta, density=Density.unit_cube(d), c=0.6,
+                          q=-0.6 if d == 2 else -0.5, n_grid=(20.0,), trials=30, seed=16010)
+    cutoffs: list[tuple[int, float]] = []
+
+    def spying(points, sizes, cutoff):
+        cutoffs.append((len(sizes), cutoff))
+        return geometry._near_pairs(points, sizes, cutoff)
+
+    for module in (experiment, filtration, properties):
+        monkeypatch.setattr(module, "_near_pairs", spying)
+    _on_cores(monkeypatch, {0})
+    monkeypatch.setattr(geometry, "_BATCH_POINTS", 200)  # batches of 10 trials
+    lower_bound_audit(spec, m=m, dump_dir=tmp_path)
+    r = spec.radius(20.0)
+    expected = 2.0 * theta * r * (1 if m == k + 2 else m)
+    assert [size for size, _ in cutoffs] == [10, 10, 10]
+    assert all(cutoff == pytest.approx(expected, rel=1e-8) for _, cutoff in cutoffs), cutoffs
+
+
 def test_trial_batches_draw_through_one_philox_each(monkeypatch, tmp_path):
     # A batch of trials derives its streams' keys at once and draws through one
     # Philox; no trial builds a stream of its own.
@@ -570,6 +595,16 @@ def test_cli_manifests_record_every_option_that_changes_the_output(tmp_path):
                                                     "--out-dir", str(out)]) in (0, 2)
                 manifests.append((out / f"{command}-manifest.json").read_bytes())
             assert manifests[0] != manifests[1], (command, option)
+
+
+def test_cli_counts_the_persistent_triangles_of_a_sampled_cloud(tmp_path, capsys):
+    # One triangle of this 300-point cloud lives from 0.05 to 0.055.
+    cloud_path = tmp_path / "cloud.txt"
+    assert cli.main(["sample", "--n", "300", "--seed", "4", "--out", str(cloud_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["count", "--cloud", str(cloud_path), "--property", "zeta", "--p", "3",
+                     "--theta", "1.1", "--r", "0.05", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_cli_persistence_rejects_a_dense_cloud(tmp_path, capsys):

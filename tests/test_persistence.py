@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from cechlab import filtration, geometry
+from cechlab import filtration, geometry, persistence
 from cechlab.errors import ConfigurationError
 from cechlab.filtration import FilteredComplex, build_cech_filtration
 from cechlab.geometry import PointCloud, _dist2, miniball
@@ -698,3 +698,34 @@ def test_invalid_queries_rejected():
                             (-0.1, 1.2, 1), (math.inf, 1.2, 1), (0.5, 1.2, -1)]:
             with pytest.raises(ValueError):
                 rank(cloud, r, theta, k)
+
+
+def test_a_reduction_wider_than_the_cap_is_refused_before_any_column(monkeypatch):
+    # Twelve points within 2r of each other make one component: 220 triangle
+    # columns, each as wide as the component's 66 edge rows, 14,520 bits in all.
+    cluster = PointCloud(2, np.random.default_rng(269).random((12, 2)) * 0.1)
+    expected = persistent_betti(cluster, 0.2, 1.5, 1)
+    monkeypatch.setattr(persistence, "_MAX_COLUMN_BITS", 14_520)
+    assert persistent_betti(cluster, 0.2, 1.5, 1) == expected
+    monkeypatch.setattr(persistence, "_MAX_COLUMN_BITS", 14_519)
+    message = ("the reduction of 220 columns needs 14520 bits, above the cap of 14519; its "
+               "largest component holds 12 points and 66 rows: the graph at the outer "
+               "radius percolates")
+    built = []
+    monkeypatch.setattr(persistence, "_reduce_gfp", lambda *args: built.append(args))
+    for call in (lambda: persistent_betti(cluster, 0.2, 1.5, 1),
+                 lambda: persistent_betti(cluster, 0.2, 1.5, 1, FieldSpec(3)),
+                 lambda: compute_persistence(build_cech_filtration(cluster, 0.3, 2))):
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        assert str(info.value) == message
+    assert not built
+    # A percolating Poisson cloud: the message names its giant component's size.
+    monkeypatch.setattr(persistence, "_MAX_COLUMN_BITS", 1000)
+    cloud = sample_poisson(60.0, Density.unit_cube(2), stream(271))
+    sizes = np.bincount(geometry._labels(len(cloud), geometry._close_pairs(
+        cloud.points, [len(cloud)], 2.0 * 1.4 * 0.05)))
+    assert 0.7 * len(cloud) < sizes.max() < len(cloud)
+    with pytest.raises(ConfigurationError,
+                       match=f"largest component holds {sizes.max()} points and"):
+        persistent_betti(cloud, 0.05, 1.4, 1)

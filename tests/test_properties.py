@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -12,8 +13,8 @@ import pytest
 from cechlab import geometry
 from cechlab.errors import ConfigurationError
 from cechlab.geometry import PointCloud, _close_pairs, _labels, ball_volume, geometric_graph
-from cechlab.persistence import persistent_betti, persistent_bettis
-from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph,
+from cechlab.persistence import GF2, FieldSpec, persistent_betti, persistent_bettis
+from cechlab.properties import (DiagnosticRow, PropertyDescriptor, SmallGraph, _gaps,
                                 _three_sigma_overlap, _unions,
                                 comp, component_count, conn,
                                 convergence_diagnostic, count_property, estimate_mu,
@@ -386,6 +387,102 @@ def test_upsilon_toggles_with_an_intruder():
     assert subset_count(h, crowded) == 0
 
 
+# ---------------------------------------------------------------------------
+# The locality contract: an accepted configuration lies within the radius
+# ---------------------------------------------------------------------------
+
+# An acute triangle with a pair at exactly 2r for r = 0.5: its cycle is born
+# at r (the pair's edge) and dies at its circumradius 0.56, so beta = 1 at
+# theta = 1. Every coordinate is dyadic, so its squared gaps are exact.
+_TIE = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.8125)])
+
+# A regular tetrahedron of side 2*sqrt(2); its 2-cycle lives from radius
+# side/sqrt(3) to side*sqrt(3/8).
+_TETRAHEDRON = np.array([(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)])
+
+
+def _tie_lattice(rows: int, cols: int) -> np.ndarray:
+    """Translates of `_TIE`: rows 0.8125 apart, each shifted by 0.5 from the last,
+    and points 1 apart along a row, all at dyadic coordinates."""
+    return np.array([(i + 0.5 * (j % 2), 0.8125 * j)
+                     for j in range(rows) for i in range(cols)])
+
+
+def _zeta_truth(r: float, theta: float, k: int, field: FieldSpec):
+    """Whether each configuration of a stack, taken as a cloud, has a persistent
+    k-cycle: the rank pass on the whole configuration, with no locality clamp."""
+    def truth(stack: np.ndarray) -> np.ndarray:
+        clouds = [PointCloud(stack.shape[2], config) for config in stack]
+        return persistent_bettis(clouds, r, theta, k, field) >= 1
+    return truth
+
+
+def _locality_cases(r: float) -> list:
+    """(d, property, its truth on a stack) for every built-in property: zeta at
+    p = k+1, k+2 and k+3 for k = 1 in d = 2 and k = 2 in d = 3, over GF(2) and GF(3)."""
+    cases = [(2, g, g.holds) for g in (iso_graph(SmallGraph.path(3), r, 3),
+                                       iso_graph(SmallGraph.complete(3), r, 3),
+                                       conn(r, 3), conn(r, 4), spread(r, 3))]
+    for d, k, thetas in ((2, 1, (1.0, 1.1, 1.4)), (3, 2, (1.0, 1.04))):
+        for p in (k + 1, k + 2, k + 3):
+            for theta in thetas:
+                for field in (GF2, FieldSpec(3)):
+                    cases.append((d, zeta(r, p, theta, k, field),
+                                  _zeta_truth(r, theta, k, field)))
+    return cases
+
+
+def _locality_stacks(d: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """Random configurations at spreads from well inside 2r to beyond 2*theta*r*p
+    (r = 0.5), then dyadic ones with pairs at exactly 2r: picks of a `_TIE`
+    lattice in d = 2, of the lattice of step 0.5 and that lattice in d = 3; and
+    at four points the square of side 2r (its cycle lives from r to r*sqrt(2))
+    or the regular tetrahedron of side 0.86 (from 0.497 to 0.527)."""
+    spread_out = rng.random((2000, p, d)) * rng.uniform(0.5, 3.0, (2000, 1, 1))
+    if d == 2:
+        grid = _tie_lattice(3, 3)
+    else:
+        flat = np.column_stack((_tie_lattice(2, 3), np.zeros(6)))
+        grid = np.vstack([flat, flat + (0.0, 0.0, 0.75), cubic_lattice(3, 27) * 4.0])
+    picks = np.array([rng.choice(len(grid), p, replace=False) for _ in range(1000)])
+    extra = {(2, 4): [_square()[None]], (3, 4): [_TETRAHEDRON[None] * 0.304]}.get((d, p), [])
+    return np.concatenate([spread_out, grid[picks]] + extra)
+
+
+def test_accepted_configurations_lie_within_the_locality_radius():
+    # The promise the counts rest on: indicator(Y) = 1 implies every pair of Y
+    # within `locality_radius()`. zeta's indicator also equals the rank pass on
+    # the whole configuration, so its clamp at that radius rejects nothing
+    # that holds; at p <= k+2 the radius is 2r with a relative slack of 1e-9.
+    rng = np.random.default_rng(241)
+    r = 0.5
+    held_at, ties = {}, {}  # accepted configurations; those with a pair at exactly 2r
+    for d, g, truth in _locality_cases(r):
+        stack = _locality_stacks(d, g.arity, rng)
+        held = g.holds(stack)
+        assert held.tolist() == truth(stack).tolist(), g.name
+        radius = g.locality_radius()
+        gaps = _gaps(stack)
+        assert (gaps[held] <= radius * radius).all(), (g.name, g.arity)
+        held_at[d, g.name, g.arity] = int(held.sum())
+        ties[d, g.name, g.arity] = int((held & (gaps == 4.0 * r * r).any(axis=1)).sum())
+        if g.name.startswith("zeta"):
+            assert (2.0 * r < radius < 2.0 * r * (1.0 + 1e-8)) == (g.arity <= d + 1), g.name
+    # No k-cycle on k+1 points, and no triangle lives from r to 1.4 r.
+    assert not any(count for (d, name, p), count in held_at.items()
+                   if name.startswith("zeta") and p == d)
+    assert not held_at[2, "zeta[k=1,theta=1.4]", 3]
+    for d, name, p in ((2, "zeta[k=1,theta=1]", 3), (2, "zeta[k=1,theta=1.1]", 3),
+                       (2, "zeta[k=1,theta=1]", 4), (2, "zeta[k=1,theta=1.4]", 4),
+                       (3, "zeta[k=2,theta=1]", 4), (3, "zeta[k=2,theta=1.04]", 4),
+                       (3, "zeta[k=2,theta=1]", 5), (2, "conn", 4), (2, "spread", 3)):
+        assert held_at[d, name, p] > 0, (d, name, p)
+    assert ties[2, "zeta[k=1,theta=1]", 3] and ties[2, "zeta[k=1,theta=1.4]", 4], ties
+    tie = zeta(r, 3, 1.0, 1)
+    assert tie(_TIE) == 1 and persistent_betti(PointCloud(2, _TIE), r, 1.0, 1) == 1
+    assert _gaps(_TIE[None]).max() == 1.0 <= tie.locality_radius() ** 2
+
+
 def test_descriptor_validation_and_call_shape():
     with pytest.raises(ValueError):
         PropertyDescriptor("bad", 0, 1.0, 1.0, lambda pts: True)
@@ -689,6 +786,55 @@ def test_isolated_counts_match_the_clique_loop_on_criterion_6_clouds(m, theta, c
     assert found[1] > 0 and (found[0] > 0 or m == 4), found
 
 
+def _exhaustive_cycle_count(cloud: PointCloud, r_sep: float | None, r: float, p: int,
+                            theta: float, k: int, field: FieldSpec) -> int:
+    """p-subsets isolated at r_sep (None: any subset) that carry a persistent
+    k-cycle: every p-subset, ranked as a cloud of its own, with no locality."""
+    pts = cloud.points.tolist()
+    chosen = [idx for idx in combinations(range(len(pts)), p)
+              if _isolated_by_brute_force(pts, idx, r_sep)]
+    if not chosen:
+        return 0
+    subsets = [PointCloud(cloud.dim, cloud.points[list(idx)]) for idx in chosen]
+    return int((persistent_bettis(subsets, r, theta, k, field) >= 1).sum())
+
+
+def test_cycle_counts_at_k_plus_2_points_match_exhaustive_enumeration():
+    # zeta's locality at p = k+2 is 2r: the counts keep every subset that
+    # carries a cycle. The clouds: picks of a lattice of translates of `_TIE`
+    # (pairs at exactly 2r), with duplicated points; translates set apart at
+    # dyadic offsets, some points dropped or doubled, among random points; and
+    # in d = 3 a regular tetrahedron (its 2-cycle lives from 0.0621 to 0.0658)
+    # among random points. Over GF(2) and GF(3).
+    rng = np.random.default_rng(251)
+    r = 1.0 / 16.0
+    lattice = _tie_lattice(4, 4) / 8.0
+    cases = []  # (cloud, k)
+    for _ in range(8):
+        kept = lattice[rng.random(len(lattice)) < 0.6]
+        cases.append((PointCloud(2, np.vstack([kept, kept[rng.random(len(kept)) < 0.2]])), 1))
+        apart = (_TIE / 8.0 + rng.integers(0, 6, (4, 1, 2)) / 2.0).reshape(-1, 2)
+        apart = apart[rng.random(len(apart)) < 0.9]
+        cases.append((PointCloud(2, np.vstack([apart, apart[rng.random(len(apart)) < 0.1],
+                                               rng.random((2, 2)) * 3.0])), 1))
+        cases.append((PointCloud(3, np.vstack([_TETRAHEDRON * 0.038 + rng.random(3),
+                                               rng.random((int(rng.integers(2, 5)), 3))])), 2))
+    found = {}  # hits per (d, isolated)
+    for cloud, k in cases:
+        p = k + 2
+        for theta in (1.0, 1.04):
+            for field in (GF2, FieldSpec(3)):
+                g = zeta(r, p, theta, k, field)
+                plain = _exhaustive_cycle_count(cloud, None, r, p, theta, k, field)
+                assert count_property(g, cloud) == plain == _isolated_clique_count(cloud, None, g)
+                isolated = _exhaustive_cycle_count(cloud, theta * r, r, p, theta, k, field)
+                assert subset_count(upsilon(r, p, theta, k, field), cloud) == isolated
+                assert isolated == _isolated_clique_count(cloud, theta * r, g)
+                found[cloud.dim, False] = found.get((cloud.dim, False), 0) + plain
+                found[cloud.dim, True] = found.get((cloud.dim, True), 0) + isolated
+    assert len(found) == 4 and all(found.values()), found
+
+
 def _combination_rows(clouds: list, p: int, r_sep: float | None, radius: float) -> list:
     """Stacked rows of the p-subsets of each cloud, in `itertools.combinations`
     order, that are cliques at `radius` and, with r_sep, isolated at r_sep."""
@@ -884,6 +1030,21 @@ def test_estimate_mu_is_the_per_sample_loop_bit_for_bit():
         assert (est.value, est.std_error) == _estimate_mu_one_at_a_time(g, f, samples,
                                                                         stream(seed))
         assert est.value > 0.0 or not hit, g.name
+
+
+def test_estimate_mu_tight_ball_agrees_with_the_wide_ball():
+    # At p = k+2 zeta draws in a ball of radius 2 (its locality 2r at r = 1),
+    # not 2*theta*p: the same integral with a smaller standard error.
+    square = Density.unit_cube(2)
+    for g, theta, seed in ((zeta(1.0, 3, 1.0, 1), 1.0, 257),
+                           (zeta(1.0, 3, 1.05, 1, FieldSpec(3)), 1.05, 263)):
+        tight = estimate_mu(g, square, 20_000, stream(seed))
+        wide = estimate_mu(dataclasses.replace(g, diam_factor=2.0 * theta), square, 80_000,
+                           stream(seed, 1))
+        assert tight.value > 0.0 and wide.value > 0.0
+        assert tight.std_error < wide.std_error
+        assert abs(tight.value - wide.value) <= 3.0 * math.hypot(tight.std_error,
+                                                                 wide.std_error), (tight, wide)
 
 
 def test_estimate_mu_degenerate_and_invalid():
